@@ -6,11 +6,12 @@ the shift x -> qx, and z(x) is annihilated by it.  This module builds the
 reduction, the shift, and the residual test.
 """
 
-from fractions import Fraction
+import operator
 
+from .partitions import size
 from .scalars import SYMBOLIC, NovikovSeries
 from .skein import psi, psi_inverse
-from .symfunc import SymFunc
+from .symfunc import SymFunc, TruncatedSeries
 from .vertex import StripGeometry, mirror_and_quantum, strip_params
 
 __all__ = [
@@ -23,22 +24,27 @@ __all__ = [
 ]
 
 
-class QSeries:
-    """Truncated series in one variable x with NovikovSeries coefficients."""
+class QSeries(TruncatedSeries):
+    """Truncated series in one variable x with NovikovSeries coefficients.
 
-    __slots__ = ("coeffs", "cap", "ring")
+    Keys are the exponents d of x^d.  The one basis is labelled "p": the
+    reduction below sends p_lam to x^|lam|.
+    """
 
-    def __init__(self, coeffs: dict, cap: int, ring, clean: bool = False):
-        if not clean:
-            coeffs = {d: c for d, c in coeffs.items()
-                      if 0 <= d <= cap and not c.is_zero()}
-        self.coeffs = coeffs
-        self.cap = cap
-        self.ring = ring
+    __slots__ = ()
+    _unit = 0
+    _key_mul = staticmethod(operator.add)
 
-    @classmethod
-    def one(cls, ring, cap: int) -> "QSeries":
-        return cls({0: NovikovSeries.constant(ring.one)}, cap, ring, clean=True)
+    def __init__(self, terms: dict, cap: int, ring, clean: bool = False):
+        super().__init__("p", terms, cap, ring, clean)
+
+    @staticmethod
+    def _size(d: int) -> int:
+        return d
+
+    @staticmethod
+    def _key_str(d: int, sym: str) -> str:
+        return "1" if d == 0 else ("x" if d == 1 else f"x^{d}")
 
     @classmethod
     def variable(cls, ring, cap: int, power: int = 1) -> "QSeries":
@@ -49,85 +55,6 @@ class QSeries:
         """Polynomial with NovikovSeries coefficients, entries[d] at x^d."""
         return cls(dict(enumerate(entries)), cap, ring)
 
-    def coefficient(self, d: int) -> NovikovSeries:
-        c = self.coeffs.get(d)
-        if c is None:
-            return NovikovSeries.constant(self.ring.zero)
-        return c
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _cap_with(self, other: "QSeries") -> int:
-        return min(self.cap, other.cap)
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        cap = self._cap_with(other)
-        out = {d: c for d, c in self.coeffs.items() if d <= cap}
-        for d, c in other.coeffs.items():
-            if d > cap:
-                continue
-            s = out.get(d)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(d, None)
-            else:
-                out[d] = s
-        return QSeries(out, cap, self.ring, clean=True)
-
-    def __neg__(self) -> "QSeries":
-        return QSeries({d: -c for d, c in self.coeffs.items()},
-                       self.cap, self.ring, clean=True)
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        return self + (-other)
-
-    def __mul__(self, other: "QSeries") -> "QSeries":
-        cap = self._cap_with(other)
-        out: dict = {}
-        for d1, c1 in self.coeffs.items():
-            if d1 > cap:
-                continue
-            for d2, c2 in other.coeffs.items():
-                d = d1 + d2
-                if d > cap:
-                    continue
-                v = c1 * c2
-                s = out.get(d)
-                out[d] = v if s is None else s + v
-        return QSeries(out, cap, self.ring)
-
-    def scale(self, scalar) -> "QSeries":
-        return QSeries({d: c.scale(scalar) for d, c in self.coeffs.items()},
-                       self.cap, self.ring)
-
-    def truncate(self, cap: int) -> "QSeries":
-        return QSeries({d: c for d, c in self.coeffs.items() if d <= cap},
-                       cap, self.ring, clean=True)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        cap = self._cap_with(other)
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(d > cap or self.coefficient(d) == other.coefficient(d)
-                   for d in keys)
-
-    def sorted_terms(self):
-        return sorted(self.coeffs.items())
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for d, c in self.sorted_terms():
-            var = "1" if d == 0 else ("x" if d == 1 else f"x^{d}")
-            bits.append(f"({c})*{var}")
-        return " + ".join(bits)
-
-    def __repr__(self) -> str:
-        return f"QSeries({self.coeffs!r}, cap={self.cap})"
-
 
 def u1_reduce(f: SymFunc) -> QSeries:
     """Algebra map sending p_lam to x^|lam|, so s_(1,1) dies and s_(2) -> x^2.
@@ -136,26 +63,17 @@ def u1_reduce(f: SymFunc) -> QSeries:
     only single-row partitions survive; the tests check that this agrees
     with reducing the power sum expansion directly.
     """
-    out: dict = {}
-    if f.basis == "schur":
-        for lam, c in f.terms.items():
-            if len(lam) > 1:
-                continue
-            d = lam[0] if lam else 0
-            s = out.get(d)
-            out[d] = c if s is None else s + c
-    else:
-        for lam, c in f.terms.items():
-            d = sum(lam)
-            s = out.get(d)
-            out[d] = c if s is None else s + c
-    return QSeries(out, f.cap, f.ring)
+    out = QSeries.zero(f.ring, f.cap)
+    for lam, c in f.terms.items():
+        if f.basis == "p" or len(lam) <= 1:
+            out.add_term(size(lam), c)
+    return out
 
 
 def sigma_q(z: QSeries) -> QSeries:
     """Substitution x -> qx; the x^d coefficient picks up q^d = t^{2d}."""
     ring = z.ring
-    return QSeries({d: c.scale(ring.t_power(2 * d)) for d, c in z.coeffs.items()},
+    return QSeries({d: c.scale(ring.t_power(2 * d)) for d, c in z.terms.items()},
                    z.cap, ring, clean=True)
 
 
@@ -168,30 +86,18 @@ def log_reduce(strip, cap: int, ring=SYMBOLIC) -> QSeries:
     """z(x) from its logarithm -sum_d (sum_i a_i^d - sum_j b_j^d) x^d / (d{d}).
 
     Must agree with u1_reduce of the dilogarithm product built from the
-    same interval weights; the exponential is evaluated by the standard
-    recurrence n z_n = sum_k k L_k z_{n-k}.
+    same interval weights; the exponential is the shared series one.
     """
     alphas, betas = _interval_weights(strip, ring)
-    log: dict = {}
+    log = QSeries.zero(ring, cap)
     for d in range(1, cap + 1):
         tot = NovikovSeries.constant(ring.zero)
         for al in alphas:
             tot = tot - al.adams(d)
         for be in betas:
             tot = tot + be.adams(d)
-        if tot.is_zero():
-            continue
-        log[d] = tot.scale(ring.one / (ring.from_fraction(d) * ring.quantum_int(d)))
-    zero = NovikovSeries.constant(ring.zero)
-    zs = [NovikovSeries.constant(ring.one)]
-    for n in range(1, cap + 1):
-        acc = zero
-        for k, lk in log.items():
-            if k > n:
-                continue
-            acc = acc + (lk * zs[n - k]).scale(ring.from_fraction(Fraction(k, n)))
-        zs.append(acc)
-    return QSeries(dict(enumerate(zs)), cap, ring)
+        log.add_term(d, tot.scale(ring.one / (ring.from_fraction(d) * ring.quantum_int(d))))
+    return log.exp()
 
 
 def _reduced_solution(alphas, betas, cap: int, ring) -> QSeries:

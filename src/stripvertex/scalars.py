@@ -200,6 +200,11 @@ def _reduce(num: dict[tuple[int, int], Fraction],
     return num, den
 
 
+def _lane_error(a, b) -> TypeError:
+    return TypeError(f"cannot combine {type(a).__name__} with {type(b).__name__}: "
+                     "scalars of different rings do not mix")
+
+
 class Scalar:
     """Canonical rational function in t (denominator a-free, numerator Laurent in t, a)."""
 
@@ -221,9 +226,13 @@ class Scalar:
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other: "Scalar") -> "Scalar":
-        if self.den == other.den:
+        try:
+            oden = other.den
+        except AttributeError:
+            raise _lane_error(self, other) from None
+        if self.den == oden:
             return Scalar(_num_add(self.num, other.num), self.den, self.ring)
-        d2 = {(e, 0): c for e, c in other.den.items()}
+        d2 = {(e, 0): c for e, c in oden.items()}
         d1 = {(e, 0): c for e, c in self.den.items()}
         num = _num_add(_num_mul(self.num, d2), _num_mul(other.num, d1))
         return Scalar(num, _poly_mul(self.den, other.den), self.ring)
@@ -235,13 +244,21 @@ class Scalar:
         return Scalar({k: -c for k, c in self.num.items()}, self.den, self.ring, reduced=True)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        return Scalar(_num_mul(self.num, other.num),
+        try:
+            onum = other.num
+        except AttributeError:
+            raise _lane_error(self, other) from None
+        return Scalar(_num_mul(self.num, onum),
                       _poly_mul(self.den, other.den), self.ring)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
-        if other.is_zero():
+        try:
+            onum = other.num
+        except AttributeError:
+            raise _lane_error(self, other) from None
+        if not onum:
             raise ZeroDivisionError("division by zero scalar")
-        aexps = {ae for (_, ae) in other.num}
+        aexps = {ae for (_, ae) in onum}
         if len(aexps) != 1:
             raise ValueError("divisor must be a-free up to a monomial in a")
         ae = aexps.pop()
@@ -316,6 +333,8 @@ class Scalar:
     # -- plumbing -----------------------------------------------------------
     def __eq__(self, other) -> bool:
         if not isinstance(other, Scalar):
+            if isinstance(other, LaurentScalar):
+                raise _lane_error(self, other)
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
@@ -420,8 +439,12 @@ class LaurentScalar:
         return self.coeffs == {0: _ONE}
 
     def __add__(self, other: "LaurentScalar") -> "LaurentScalar":
+        try:
+            ocoeffs = other.coeffs
+        except AttributeError:
+            raise _lane_error(self, other) from None
         out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
+        for e, c in ocoeffs.items():
             v = out.get(e, _ZERO) + c
             if v:
                 out[e] = v
@@ -436,9 +459,13 @@ class LaurentScalar:
         return LaurentScalar({e: -c for e, c in self.coeffs.items()}, self.ring, clean=True)
 
     def __mul__(self, other: "LaurentScalar") -> "LaurentScalar":
+        try:
+            ocoeffs = other.coeffs
+        except AttributeError:
+            raise _lane_error(self, other) from None
         out: dict[int, Fraction] = {}
         for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+            for e2, c2 in ocoeffs.items():
                 k = e1 + e2
                 v = out.get(k, _ZERO) + c1 * c2
                 if v:
@@ -448,11 +475,15 @@ class LaurentScalar:
         return LaurentScalar(out, self.ring, clean=True)
 
     def __truediv__(self, other: "LaurentScalar") -> "LaurentScalar":
-        if other.is_zero():
+        try:
+            ocoeffs = other.coeffs
+        except AttributeError:
+            raise _lane_error(self, other) from None
+        if not ocoeffs:
             raise ZeroDivisionError("division by zero scalar")
-        if len(other.coeffs) != 1:
+        if len(ocoeffs) != 1:
             raise ValueError("divisor must be a-free up to a monomial in a")
-        (ae, c), = other.coeffs.items()
+        (ae, c), = ocoeffs.items()
         return LaurentScalar({e - ae: v / c for e, v in self.coeffs.items()}, self.ring, clean=True)
 
     def __pow__(self, k: int) -> "LaurentScalar":
@@ -478,6 +509,8 @@ class LaurentScalar:
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentScalar):
+            if isinstance(other, Scalar):
+                raise _lane_error(self, other)
             return NotImplemented
         return self.coeffs == other.coeffs
 
@@ -585,53 +618,41 @@ class NovikovSeries:
     """Truncated series in named formal parameters with scalar coefficients.
 
     Terms are keyed by sorted tuples of (name, positive exponent) pairs; the
-    empty key is the constant term.  A term is kept while its weighted total
-    degree is at most cap (cap None means no truncation; weights default to
-    one per parameter).
+    empty key is the constant term.  A term is kept while its total degree
+    is at most cap (cap None means no truncation).
     """
 
-    __slots__ = ("terms", "cap", "weights")
+    __slots__ = ("terms", "cap")
 
     def __init__(self, terms: dict[Key, object], cap: int | None = None,
-                 weights: dict[str, int] | None = None, clean: bool = False):
+                 clean: bool = False):
         if not clean:
             terms = {k: c for k, c in terms.items() if not c.is_zero()}
             if cap is not None:
-                terms = {k: c for k, c in terms.items()
-                         if _wdeg(k, weights) <= cap}
+                terms = {k: c for k, c in terms.items() if _deg(k) <= cap}
         self.terms = terms
         self.cap = cap
-        self.weights = weights
 
     # -- constructors -------------------------------------------------------
     @classmethod
-    def constant(cls, scalar, cap: int | None = None, weights=None) -> "NovikovSeries":
+    def constant(cls, scalar, cap: int | None = None) -> "NovikovSeries":
         if scalar.is_zero():
-            return cls({}, cap, weights, clean=True)
-        return cls({(): scalar}, cap, weights, clean=True)
+            return cls({}, cap, clean=True)
+        return cls({(): scalar}, cap, clean=True)
 
     @classmethod
-    def monomial(cls, exps: dict[str, int], scalar, cap: int | None = None,
-                 weights=None) -> "NovikovSeries":
+    def monomial(cls, exps: dict[str, int], scalar, cap: int | None = None) -> "NovikovSeries":
         key = tuple(sorted((n, e) for n, e in exps.items() if e))
         if any(e < 0 for _, e in key):
             raise ValueError("parameter exponents must be nonnegative")
-        return cls({key: scalar}, cap, weights)
+        return cls({key: scalar}, cap)
 
     # -- helpers -------------------------------------------------------------
-    def degree(self, key: Key) -> int:
-        return _wdeg(key, self.weights)
-
     def is_zero(self) -> bool:
         return not self.terms
 
     def constant_term(self, ring):
         return self.terms.get((), ring.zero)
-
-    def min_degree(self) -> int | None:
-        if not self.terms:
-            return None
-        return min(self.degree(k) for k in self.terms)
 
     def _caps(self, other) -> int | None:
         if self.cap is None:
@@ -654,23 +675,23 @@ class NovikovSeries:
                 out[k] = c
         cap = self._caps(other)
         if cap is not None:
-            out = {k: c for k, c in out.items() if _wdeg(k, self.weights) <= cap}
-        return NovikovSeries(out, cap, self.weights, clean=True)
+            out = {k: c for k, c in out.items() if _deg(k) <= cap}
+        return NovikovSeries(out, cap, clean=True)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
         return NovikovSeries({k: -c for k, c in self.terms.items()},
-                             self.cap, self.weights, clean=True)
+                             self.cap, clean=True)
 
     def __mul__(self, other: "NovikovSeries") -> "NovikovSeries":
         cap = self._caps(other)
         out: dict[Key, object] = {}
         for k1, c1 in self.terms.items():
-            d1 = _wdeg(k1, self.weights)
+            d1 = _deg(k1)
             for k2, c2 in other.terms.items():
-                if cap is not None and d1 + _wdeg(k2, self.weights) > cap:
+                if cap is not None and d1 + _deg(k2) > cap:
                     continue
                 k = _key_mul(k1, k2)
                 v = c1 * c2
@@ -680,20 +701,18 @@ class NovikovSeries:
                     out.pop(k, None)
                 else:
                     out[k] = v
-        return NovikovSeries(out, cap, self.weights, clean=True)
+        return NovikovSeries(out, cap, clean=True)
 
     def scale(self, scalar) -> "NovikovSeries":
         if scalar.is_zero():
-            return NovikovSeries({}, self.cap, self.weights, clean=True)
-        return NovikovSeries({k: c * scalar for k, c in self.terms.items()},
-                             self.cap, self.weights)
+            return NovikovSeries({}, self.cap, clean=True)
+        return NovikovSeries({k: c * scalar for k, c in self.terms.items()}, self.cap)
 
     def truncate(self, cap: int | None) -> "NovikovSeries":
         if cap is None:
-            return NovikovSeries(dict(self.terms), None, self.weights, clean=True)
-        return NovikovSeries({k: c for k, c in self.terms.items()
-                              if _wdeg(k, self.weights) <= cap},
-                             cap, self.weights, clean=True)
+            return NovikovSeries(dict(self.terms), None, clean=True)
+        return NovikovSeries({k: c for k, c in self.terms.items() if _deg(k) <= cap},
+                             cap, clean=True)
 
     def inverse(self, ring) -> "NovikovSeries":
         """Multiplicative inverse; requires an invertible constant term."""
@@ -702,15 +721,15 @@ class NovikovSeries:
             raise ValueError("series has no constant term, cannot invert")
         c0inv = ring.one / c0
         rest = NovikovSeries({k: c for k, c in self.terms.items() if k},
-                             self.cap, self.weights, clean=True)
+                             self.cap, clean=True)
         if rest.is_zero():
-            return NovikovSeries.constant(c0inv, self.cap, self.weights)
+            return NovikovSeries.constant(c0inv, self.cap)
         if self.cap is None:
             raise ValueError("inverting a non-constant series needs a finite cap")
         # Neumann series: 1/(c0 + r) = c0inv * sum_k (-r * c0inv)^k
         base = rest.scale(-c0inv)
-        out = NovikovSeries.constant(ring.one, self.cap, self.weights)
-        term = NovikovSeries.constant(ring.one, self.cap, self.weights)
+        out = NovikovSeries.constant(ring.one, self.cap)
+        term = NovikovSeries.constant(ring.one, self.cap)
         for _ in range(self.cap):
             term = term * base
             if term.is_zero():
@@ -722,21 +741,20 @@ class NovikovSeries:
         """Scale every exponent by k and apply the scalar Adams operation."""
         out = {_key_pow(key, k): c.adams(k) for key, c in self.terms.items()}
         if self.cap is not None:
-            out = {key: c for key, c in out.items() if _wdeg(key, self.weights) <= self.cap}
-        return NovikovSeries(out, self.cap, self.weights, clean=True)
+            out = {key: c for key, c in out.items() if _deg(key) <= self.cap}
+        return NovikovSeries(out, self.cap, clean=True)
 
     def eval_q(self, t_value) -> "NovikovSeries":
         return NovikovSeries({k: c.eval_q(t_value) for k, c in self.terms.items()},
-                             self.cap, self.weights, clean=True)
+                             self.cap, clean=True)
 
     def map_scalars(self, fn) -> "NovikovSeries":
         """Apply a scalar-to-scalar map to every coefficient."""
-        return NovikovSeries({k: fn(c) for k, c in self.terms.items()},
-                             self.cap, self.weights)
+        return NovikovSeries({k: fn(c) for k, c in self.terms.items()}, self.cap)
 
     # -- plumbing -------------------------------------------------------------
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (self.degree(kv[0]), kv[0]))
+        return sorted(self.terms.items(), key=lambda kv: (_deg(kv[0]), kv[0]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NovikovSeries):
@@ -762,14 +780,8 @@ class NovikovSeries:
         return f"NovikovSeries({self})"
 
 
-def _wdeg(key: Key, weights: dict[str, int] | None) -> int:
-    if weights is None:
-        return sum(e for _, e in key)
-    return sum(e * weights.get(n, 1) for n, e in key)
-
-
-def monomial_key(exps: dict[str, int]) -> Key:
-    return tuple(sorted((n, e) for n, e in exps.items() if e))
+def _deg(key: Key) -> int:
+    return sum(e for _, e in key)
 
 
 def key_string(key: Key) -> str:

@@ -1,16 +1,18 @@
 """Symmetric functions truncated by degree, over Novikov series coefficients.
 
-Elements live in the ring of symmetric functions in infinitely many
-variables, expressed in either the Schur basis or the power sum basis and
-truncated to partitions of size at most cap.  Basis changes go through the
-integer character table (power sums to Schurs and back), multiplication is
-concatenation in the power sum basis, and the Hall pairing makes the power
-sums orthogonal with norm z_lambda.
+One truncated sparse series type, TruncatedSeries, holds all the series
+arithmetic: sums, products, scaling, truncation, the change between the
+Schur and power sum bases, and the exponential.  Its instances here are
+SymFunc (one alphabet, keys are partitions) and SymFunc2 (two alphabets,
+keys are pairs of partitions, truncated by combined degree); qdiff adds
+the one-variable QSeries.
 
-The second half of the module provides the same algebra on the tensor
-square (two sets of variables), plus the principal specializations used by
-the vertex: evaluations at q^rho and q^(nu+rho) computed through Jacobi-
-Trudi determinants with a closed-form tail.
+Basis changes go through the integer character table (power sums to
+Schurs and back), multiplication is concatenation in the power sum basis,
+and the Hall pairing makes the power sums orthogonal with norm z_lambda.
+The module also provides the principal specializations used by the
+vertex: evaluations at q^rho and q^(nu+rho) computed through Jacobi-Trudi
+determinants with a closed-form tail.
 """
 from __future__ import annotations
 
@@ -30,40 +32,226 @@ from .partitions import (
 )
 from .scalars import SYMBOLIC, NovikovSeries
 
+_BASES = ("schur", "p")
+
 
 class NonNilpotentArgument(ValueError):
-    """Raised when a plethystic exponential is fed a series with a constant part."""
+    """Raised when an exponential is fed a series with an empty-key term."""
 
 
 def _concat(mu: Partition, nu: Partition) -> Partition:
     return tuple(sorted(mu + nu, reverse=True))
 
 
-class SymFunc:
-    """A truncated symmetric function with NovikovSeries coefficients."""
+def _basis_row(lam: Partition, basis: str) -> list[tuple[Partition, Fraction]]:
+    """The element labelled lam of the basis other than `basis`, expanded in `basis`.
+
+    p_lam = sum_mu chi^mu(lam) s_mu and s_lam = sum_mu chi^lam(mu)/z_mu p_mu.
+    """
+    if basis == "schur":
+        return [(mu, Fraction(x)) for mu in partitions_of(size(lam))
+                if (x := character(mu, lam))]
+    return [(mu, Fraction(x, z_factor(mu))) for mu in partitions_of(size(lam))
+            if (x := character(lam, mu))]
+
+
+class TruncatedSeries:
+    """A sparse series in graded keys with NovikovSeries coefficients.
+
+    Subclasses supply the key hooks: _size (the grading, additive under
+    _key_mul), _key_mul (the product of two power sum keys), _unit (the
+    empty key), _key_str and _rewrite (one key in the other basis).  Terms
+    of key size above cap are dropped; with _combined set, a coefficient is
+    also truncated to Novikov degree cap - size(key).  Products are taken
+    in the "p" basis and returned in the basis of the left factor.
+    """
 
     __slots__ = ("basis", "terms", "cap", "ring")
+    _combined = False
 
-    def __init__(self, basis: str, terms: dict[Partition, NovikovSeries],
-                 cap: int, ring, clean: bool = False):
-        if basis not in ("schur", "p"):
+    def __init__(self, basis: str, terms: dict, cap: int, ring, clean: bool = False):
+        if basis not in _BASES:
             raise ValueError(f"unknown basis {basis!r}")
-        if not clean:
-            terms = {k: c for k, c in terms.items()
-                     if size(k) <= cap and not c.is_zero()}
         self.basis = basis
-        self.terms = terms
         self.cap = cap
         self.ring = ring
+        self.terms = terms if clean else {}
+        if not clean:
+            for key, c in terms.items():
+                self.add_term(key, c)
 
     # -- constructors ---------------------------------------------------------
     @classmethod
-    def one(cls, ring, cap: int, basis: str = "p") -> "SymFunc":
-        return cls(basis, {(): NovikovSeries.constant(ring.one)}, cap, ring, clean=True)
+    def _new(cls, basis: str, terms: dict, cap: int, ring):
+        out = object.__new__(cls)
+        out.basis, out.terms, out.cap, out.ring = basis, terms, cap, ring
+        return out
 
     @classmethod
-    def zero(cls, ring, cap: int, basis: str = "p") -> "SymFunc":
-        return cls(basis, {}, cap, ring, clean=True)
+    def zero(cls, ring, cap: int, basis: str = "p"):
+        return cls._new(basis, {}, cap, ring)
+
+    @classmethod
+    def one(cls, ring, cap: int, basis: str = "p"):
+        out = cls.zero(ring, cap, basis)
+        out.add_term(cls._unit, NovikovSeries.constant(ring.one))
+        return out
+
+    def _collect(self, pairs, cap: int | None = None, basis: str | None = None):
+        out = self._new(basis or self.basis, {}, self.cap if cap is None else cap,
+                        self.ring)
+        for key, c in pairs:
+            out.add_term(key, c)
+        return out
+
+    def add_term(self, key, series: NovikovSeries) -> None:
+        """Mutating accumulation used while assembling sums; truncates as it goes."""
+        room = self.cap - self._size(key)
+        if room < 0:
+            return
+        if self._combined:
+            series = series.truncate(room)
+        terms = self.terms
+        if key in terms:
+            series = terms[key] + series
+        if series.is_zero():
+            terms.pop(key, None)
+        else:
+            terms[key] = series
+
+    # -- ring structure --------------------------------------------------------
+    def _require_like(self, other) -> None:
+        if self.ring is not other.ring and self.ring != other.ring:
+            raise ValueError("mixed coefficient rings")
+
+    def __add__(self, other):
+        self._require_like(other)
+        b = other.convert(self.basis)
+        if self.cap <= b.cap:
+            out = self._new(self.basis, dict(self.terms), self.cap, self.ring)
+        else:
+            out = self.truncate(b.cap)
+        for key, c in b.terms.items():
+            out.add_term(key, c)
+        return out
+
+    def __neg__(self):
+        return self._new(self.basis, {k: -c for k, c in self.terms.items()},
+                         self.cap, self.ring)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        """Product, computed in the power sum basis, returned in the left basis."""
+        self._require_like(other)
+        a = self.convert("p")
+        b = other.convert("p")
+        cap = min(a.cap, b.cap)
+        size_of, key_mul = self._size, self._key_mul
+        right = [(k, size_of(k), c) for k, c in b.terms.items()]
+        out = self._new("p", {}, cap, self.ring)
+        for k1, c1 in a.terms.items():
+            room = cap - size_of(k1)
+            for k2, s2, c2 in right:
+                if s2 <= room:
+                    out.add_term(key_mul(k1, k2), c1 * c2)
+        return out.convert(self.basis)
+
+    def scale(self, series: NovikovSeries):
+        return self._collect((k, c * series) for k, c in self.terms.items())
+
+    def scale_scalar(self, scalar):
+        return self._collect((k, c.scale(scalar)) for k, c in self.terms.items())
+
+    def map_coeffs(self, fn):
+        """Apply a scalar map (such as q -> 1/q) to every coefficient."""
+        return self._collect((k, c.map_scalars(fn)) for k, c in self.terms.items())
+
+    def truncate(self, cap: int):
+        return self._collect(self.terms.items(), cap)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coefficient(self, key) -> NovikovSeries:
+        c = self.terms.get(key)
+        return NovikovSeries({}, clean=True) if c is None else c
+
+    # -- basis change -----------------------------------------------------------
+    def convert(self, basis: str):
+        if basis == self.basis:
+            return self
+        if basis not in _BASES:
+            raise ValueError(f"cannot convert {self.basis} -> {basis}")
+        scalar = self.ring.from_fraction
+        return self._collect(((new, c.scale(scalar(x)))
+                              for key, c in self.terms.items()
+                              for new, x in self._rewrite(key, basis)), basis=basis)
+
+    # -- the exponential ----------------------------------------------------------
+    def exp(self):
+        """exp of a series with no empty-key term, in the power sum basis.
+
+        Solved size by size from n z_n = sum_k k L_k z_(n-k), where L_k and
+        z_n are the parts of key size k and n of the log and of the result.
+        Multiplying the size-n part by n is a derivation of the product and
+        of every truncation here, so this is the exponential in the
+        truncated ring.
+        """
+        log = self.convert("p")
+        ring, cap, size_of, key_mul = log.ring, log.cap, log._size, log._key_mul
+        weighted: dict[int, list] = {}
+        for key, c in log.terms.items():
+            k = size_of(key)
+            if k == 0:
+                raise NonNilpotentArgument("exponential needs a nilpotent argument")
+            weighted.setdefault(k, []).append((key, c.scale(ring.from_fraction(k))))
+        out = log.one(ring, cap)
+        parts = [dict(out.terms)]
+        for n in range(1, cap + 1):
+            acc = log._new("p", {}, cap, ring)
+            for k in range(1, n + 1):
+                for kl, cl in weighted.get(k, ()):
+                    for kz, cz in parts[n - k].items():
+                        acc.add_term(key_mul(kl, kz), cl * cz)
+            inv_n = ring.from_fraction(Fraction(1, n))
+            parts.append({key: c.scale(inv_n) for key, c in acc.terms.items()})
+            out.terms.update(parts[n])
+        return out
+
+    # -- plumbing ----------------------------------------------------------------
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.terms == other.convert(self.basis).terms
+
+    def sorted_terms(self):
+        size_of = self._size
+        return sorted(self.terms.items(), key=lambda kv: (size_of(kv[0]), kv[0]))
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        sym = "s" if self.basis == "schur" else "p"
+        return " + ".join(f"({c})*{self._key_str(k, sym)}" for k, c in self.sorted_terms())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class SymFunc(TruncatedSeries):
+    """A truncated symmetric function with NovikovSeries coefficients."""
+
+    __slots__ = ()
+    _unit = ()
+    _size = staticmethod(size)
+    _key_mul = staticmethod(_concat)
+    _rewrite = staticmethod(_basis_row)
+
+    @staticmethod
+    def _key_str(key: Partition, sym: str) -> str:
+        return f"{sym}{list(key)}"
 
     @classmethod
     def schur(cls, lam: Partition, ring, cap: int) -> "SymFunc":
@@ -73,142 +261,9 @@ class SymFunc:
     def power_sum(cls, lam: Partition, ring, cap: int) -> "SymFunc":
         return cls("p", {tuple(lam): NovikovSeries.constant(ring.one)}, cap, ring)
 
-    # -- ring structure --------------------------------------------------------
-    def _require_like(self, other: "SymFunc") -> None:
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise ValueError("mixed coefficient rings")
 
-    def __add__(self, other: "SymFunc") -> "SymFunc":
-        self._require_like(other)
-        a, b = self, other
-        if a.basis != b.basis:
-            b = b.convert(a.basis)
-        out = dict(a.terms)
-        for k, c in b.terms.items():
-            if k in out:
-                v = out[k] + c
-                if v.is_zero():
-                    del out[k]
-                else:
-                    out[k] = v
-            else:
-                out[k] = c
-        return SymFunc(a.basis, out, min(a.cap, b.cap), a.ring, clean=True)
-
-    def __neg__(self) -> "SymFunc":
-        return SymFunc(self.basis, {k: -c for k, c in self.terms.items()},
-                       self.cap, self.ring, clean=True)
-
-    def __sub__(self, other: "SymFunc") -> "SymFunc":
-        return self + (-other)
-
-    def __mul__(self, other: "SymFunc") -> "SymFunc":
-        """Product, computed in the power sum basis, returned in the left basis."""
-        self._require_like(other)
-        a = self.convert("p")
-        b = other.convert("p")
-        cap = min(a.cap, b.cap)
-        out: dict[Partition, NovikovSeries] = {}
-        for k1, c1 in a.terms.items():
-            s1 = size(k1)
-            for k2, c2 in b.terms.items():
-                if s1 + size(k2) > cap:
-                    continue
-                k = _concat(k1, k2)
-                v = c1 * c2
-                if k in out:
-                    v = out[k] + v
-                if v.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = v
-        prod = SymFunc("p", out, cap, self.ring, clean=True)
-        return prod.convert(self.basis)
-
-    def scale(self, series: NovikovSeries) -> "SymFunc":
-        if series.is_zero():
-            return SymFunc.zero(self.ring, self.cap, self.basis)
-        return SymFunc(self.basis, {k: c * series for k, c in self.terms.items()},
-                       self.cap, self.ring)
-
-    def scale_scalar(self, scalar) -> "SymFunc":
-        return SymFunc(self.basis, {k: c.scale(scalar) for k, c in self.terms.items()},
-                       self.cap, self.ring)
-
-    def map_coeffs(self, fn) -> "SymFunc":
-        """Apply a scalar map (such as q -> 1/q) to every coefficient."""
-        return SymFunc(self.basis,
-                       {k: c.map_scalars(fn) for k, c in self.terms.items()},
-                       self.cap, self.ring)
-
-    def truncate(self, cap: int) -> "SymFunc":
-        return SymFunc(self.basis, {k: c for k, c in self.terms.items() if size(k) <= cap},
-                       cap, self.ring, clean=True)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, lam: Partition) -> NovikovSeries:
-        return self.terms.get(tuple(lam), NovikovSeries({}, clean=True))
-
-    # -- basis change -----------------------------------------------------------
-    def convert(self, basis: str) -> "SymFunc":
-        if basis == self.basis:
-            return self
-        out: dict[Partition, NovikovSeries] = {}
-        ring = self.ring
-        if self.basis == "p" and basis == "schur":
-            # p_mu = sum_lam chi^lam(mu) s_lam
-            for mu, c in self.terms.items():
-                for lam in partitions_of(size(mu)):
-                    x = character(lam, mu)
-                    if not x:
-                        continue
-                    v = c.scale(ring.from_fraction(x))
-                    if lam in out:
-                        v = out[lam] + v
-                    if v.is_zero():
-                        out.pop(lam, None)
-                    else:
-                        out[lam] = v
-            return SymFunc("schur", out, self.cap, ring, clean=True)
-        if self.basis == "schur" and basis == "p":
-            # s_lam = sum_mu chi^lam(mu) / z_mu p_mu
-            for lam, c in self.terms.items():
-                for mu in partitions_of(size(lam)):
-                    x = character(lam, mu)
-                    if not x:
-                        continue
-                    v = c.scale(ring.from_fraction(Fraction(x, z_factor(mu))))
-                    if mu in out:
-                        v = out[mu] + v
-                    if v.is_zero():
-                        out.pop(mu, None)
-                    else:
-                        out[mu] = v
-            return SymFunc("p", out, self.cap, ring, clean=True)
-        raise ValueError(f"cannot convert {self.basis} -> {basis}")
-
-    # -- plumbing ----------------------------------------------------------------
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymFunc):
-            return NotImplemented
-        a, b = self, other
-        if a.basis != b.basis:
-            b = b.convert(a.basis)
-        return a.terms == b.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (size(kv[0]), kv[0]))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        sym = "s" if self.basis == "schur" else "p"
-        return " + ".join(f"({c})*{sym}{list(k)}" for k, c in self.sorted_terms())
-
-    def __repr__(self):
-        return f"SymFunc({self})"
+# the one exponential, under its symmetric-function name
+sym_exp = SymFunc.exp
 
 
 def hall_pairing(f: SymFunc, g: SymFunc) -> NovikovSeries:
@@ -264,61 +319,6 @@ def skew_schur(lam: Partition, mu: Partition, ring, cap: int | None = None) -> S
         if c:
             terms[nu] = NovikovSeries.constant(ring.from_fraction(c))
     return SymFunc("schur", terms, cap, ring, clean=True)
-
-
-def adams(k: int, f: SymFunc) -> SymFunc:
-    """The k-th Adams operation: p_n -> p_{kn} on the basis, t -> t^k, params -> params^k."""
-    if k < 1:
-        raise ValueError("adams degree must be positive")
-    g = f.convert("p")
-    out: dict[Partition, NovikovSeries] = {}
-    for lam, c in g.terms.items():
-        key = tuple(p * k for p in lam)
-        if size(key) > g.cap:
-            continue
-        out[key] = c.adams(k)
-    res = SymFunc("p", out, g.cap, g.ring, clean=True)
-    return res.convert(f.basis)
-
-
-def sym_exp(g: SymFunc) -> SymFunc:
-    """exp of a symmetric function with no constant part, in the power sum basis."""
-    g = g.convert("p")
-    ring = g.ring
-    extra = 0
-    c0 = g.terms.get(())
-    if c0 is not None:
-        if c0.min_degree() == 0:
-            raise NonNilpotentArgument("exponential needs a nilpotent argument")
-        if c0.cap is None:
-            raise NonNilpotentArgument("constant-partition part must carry a degree cap")
-        extra = c0.cap
-    out = SymFunc.one(ring, g.cap)
-    for m in range(g.cap + extra, 0, -1):
-        out = SymFunc.one(ring, g.cap) + (g * out).scale_scalar(
-            ring.from_fraction(Fraction(1, m)))
-    return out
-
-
-def plethystic_exp(f: SymFunc, variant: str = "plain") -> SymFunc:
-    """Exp(f) = exp(sum_k psi_k(f)/k), or with alternating signs (-1)^(k+1)."""
-    if variant not in ("plain", "alternating"):
-        raise ValueError(f"unknown variant {variant!r}")
-    g = f.convert("p")
-    ring = g.ring
-    log = SymFunc.zero(ring, g.cap)
-    kmax = g.cap
-    c0 = g.terms.get(())
-    if c0 is not None:
-        if c0.min_degree() == 0:
-            raise NonNilpotentArgument("plethystic exponential needs a nilpotent argument")
-        if c0.cap is None:
-            raise NonNilpotentArgument("constant-partition part must carry a degree cap")
-        kmax = max(kmax, c0.cap)
-    for k in range(1, kmax + 1):
-        c = Fraction(1, k) if (variant == "plain" or k % 2 == 1) else Fraction(-1, k)
-        log = log + adams(k, g).scale_scalar(ring.from_fraction(c))
-    return sym_exp(log)
 
 
 # ---------------------------------------------------------------------------
@@ -458,180 +458,43 @@ def sign_transpose_residual(lam: Partition, mu: Partition, ring=SYMBOLIC):
 PairKey = tuple[Partition, Partition]
 
 
-class SymFunc2:
+def _pair_size(key: PairKey) -> int:
+    return size(key[0]) + size(key[1])
+
+
+def _pair_mul(k: PairKey, m: PairKey) -> PairKey:
+    return _concat(k[0], m[0]), _concat(k[1], m[1])
+
+
+def _pair_row(key: PairKey, basis: str) -> list[tuple[PairKey, Fraction]]:
+    second = _basis_row(key[1], basis)
+    return [((m1, m2), x1 * x2) for m1, x1 in _basis_row(key[0], basis)
+            for m2, x2 in second]
+
+
+class SymFunc2(TruncatedSeries):
     """Symmetric functions in two alphabets, truncated by combined degree.
 
-    The combined degree of a term is |lam1| + |lam2| plus the Novikov degree
-    of its coefficient; every stored coefficient is truncated to Novikov
-    degree cap - |lam1| - |lam2|.
+    Keys are pairs (lam1, lam2).  The combined degree of a term is
+    |lam1| + |lam2| plus the Novikov degree of its coefficient; every stored
+    coefficient is truncated to Novikov degree cap - |lam1| - |lam2|.
     """
 
-    __slots__ = ("basis", "terms", "cap", "ring")
+    __slots__ = ()
+    _combined = True
+    _unit = ((), ())
+    _size = staticmethod(_pair_size)
+    _key_mul = staticmethod(_pair_mul)
+    _rewrite = staticmethod(_pair_row)
 
-    def __init__(self, basis: str, terms: dict[PairKey, NovikovSeries],
-                 cap: int, ring, clean: bool = False):
-        if basis not in ("schur", "p"):
-            raise ValueError(f"unknown basis {basis!r}")
-        if not clean:
-            fixed: dict[PairKey, NovikovSeries] = {}
-            for (l1, l2), c in terms.items():
-                room = cap - size(l1) - size(l2)
-                if room < 0:
-                    continue
-                c = c.truncate(room)
-                if not c.is_zero():
-                    fixed[(l1, l2)] = c
-            terms = fixed
-        self.basis = basis
-        self.terms = terms
-        self.cap = cap
-        self.ring = ring
-
-    @classmethod
-    def one(cls, ring, cap: int, basis: str = "p") -> "SymFunc2":
-        c = NovikovSeries.constant(ring.one).truncate(cap)
-        return cls(basis, {((), ()): c}, cap, ring, clean=True)
-
-    @classmethod
-    def zero(cls, ring, cap: int, basis: str = "p") -> "SymFunc2":
-        return cls(basis, {}, cap, ring, clean=True)
-
-    def add_term(self, l1: Partition, l2: Partition, series: NovikovSeries) -> None:
-        """Mutating accumulation used while assembling sums; truncates as it goes."""
-        room = self.cap - size(l1) - size(l2)
-        if room < 0:
-            return
-        series = series.truncate(room)
-        key = (l1, l2)
-        if key in self.terms:
-            series = self.terms[key] + series
-        if series.is_zero():
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = series
-
-    def __add__(self, other: "SymFunc2") -> "SymFunc2":
-        a, b = self, other
-        if a.basis != b.basis:
-            b = b.convert(a.basis)
-        out = SymFunc2(a.basis, dict(a.terms), min(a.cap, b.cap), a.ring, clean=True)
-        for (l1, l2), c in b.terms.items():
-            out.add_term(l1, l2, c)
-        return out
-
-    def __neg__(self) -> "SymFunc2":
-        return SymFunc2(self.basis, {k: -c for k, c in self.terms.items()},
-                        self.cap, self.ring, clean=True)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other: "SymFunc2") -> "SymFunc2":
-        a = self.convert("p")
-        b = other.convert("p")
-        cap = min(a.cap, b.cap)
-        out = SymFunc2.zero(self.ring, cap)
-        for (k1, k2), c1 in a.terms.items():
-            s1 = size(k1) + size(k2)
-            for (m1, m2), c2 in b.terms.items():
-                if s1 + size(m1) + size(m2) > cap:
-                    continue
-                out.add_term(_concat(k1, m1), _concat(k2, m2), c1 * c2)
-        return out.convert(self.basis)
-
-    def scale(self, series: NovikovSeries) -> "SymFunc2":
-        out = SymFunc2.zero(self.ring, self.cap, self.basis)
-        for (l1, l2), c in self.terms.items():
-            out.add_term(l1, l2, c * series)
-        return out
-
-    def scale_scalar(self, scalar) -> "SymFunc2":
-        return SymFunc2(self.basis, {k: c.scale(scalar) for k, c in self.terms.items()},
-                        self.cap, self.ring)
-
-    def convert(self, basis: str) -> "SymFunc2":
-        if basis == self.basis:
-            return self
-        ring = self.ring
-        out = SymFunc2.zero(ring, self.cap, basis)
-        if self.basis == "p":
-            for (m1, m2), c in self.terms.items():
-                for l1 in partitions_of(size(m1)):
-                    x1 = character(l1, m1)
-                    if not x1:
-                        continue
-                    for l2 in partitions_of(size(m2)):
-                        x2 = character(l2, m2)
-                        if not x2:
-                            continue
-                        out.add_term(l1, l2, c.scale(ring.from_fraction(x1 * x2)))
-        else:
-            for (l1, l2), c in self.terms.items():
-                for m1 in partitions_of(size(l1)):
-                    x1 = character(l1, m1)
-                    if not x1:
-                        continue
-                    f1 = Fraction(x1, z_factor(m1))
-                    for m2 in partitions_of(size(l2)):
-                        x2 = character(l2, m2)
-                        if not x2:
-                            continue
-                        out.add_term(m1, m2,
-                                     c.scale(ring.from_fraction(f1 * Fraction(x2, z_factor(m2)))))
-        return out
-
-    def exp(self) -> "SymFunc2":
-        """exp of an element with positive combined degree in every term."""
-        g = self.convert("p")
-        if ((), ()) in g.terms and g.terms[((), ())].min_degree() == 0:
-            raise NonNilpotentArgument("exponential needs a nilpotent argument")
-        ring = self.ring
-        out = SymFunc2.one(ring, g.cap)
-        for m in range(g.cap, 0, -1):
-            out = SymFunc2.one(ring, g.cap) + (g * out).scale_scalar(
-                ring.from_fraction(Fraction(1, m)))
-        return out
-
-    def coefficient(self, l1: Partition, l2: Partition) -> NovikovSeries:
-        return self.terms.get((tuple(l1), tuple(l2)), NovikovSeries({}, clean=True))
-
-    def truncate(self, cap: int) -> "SymFunc2":
-        return SymFunc2(self.basis, self.terms, cap, self.ring)
+    @staticmethod
+    def _key_str(key: PairKey, sym: str) -> str:
+        return f"{sym}{list(key[0])}(x){sym}{list(key[1])}"
 
     def slice_first(self) -> SymFunc:
         """The part paired with the empty partition in the second slot."""
         terms = {l1: c for (l1, l2), c in self.terms.items() if l2 == ()}
         return SymFunc(self.basis, terms, self.cap, self.ring, clean=True)
-
-    def map_coeffs(self, fn) -> "SymFunc2":
-        return SymFunc2(self.basis,
-                        {k: c.map_scalars(fn) for k, c in self.terms.items()},
-                        self.cap, self.ring)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymFunc2):
-            return NotImplemented
-        a, b = self, other
-        if a.basis != b.basis:
-            b = b.convert(a.basis)
-        return a.terms == b.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(),
-                      key=lambda kv: (size(kv[0][0]) + size(kv[0][1]), kv[0]))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        sym = "s" if self.basis == "schur" else "p"
-        return " + ".join(f"({c})*{sym}{list(k1)}(x){sym}{list(k2)}"
-                          for (k1, k2), c in self.sorted_terms())
-
-    def __repr__(self):
-        return f"SymFunc2({self})"
 
 
 def tensor(f: SymFunc, g: SymFunc, cap: int | None = None) -> SymFunc2:
@@ -643,7 +506,7 @@ def tensor(f: SymFunc, g: SymFunc, cap: int | None = None) -> SymFunc2:
     out = SymFunc2.zero(f.ring, cap)
     for k1, c1 in a.terms.items():
         for k2, c2 in b.terms.items():
-            out.add_term(k1, k2, c1 * c2)
+            out.add_term((k1, k2), c1 * c2)
     return out
 
 
@@ -663,5 +526,5 @@ def contract_middle(u: SymFunc2, v: SymFunc2, transpose_middle: bool = False) ->
     for (mid, k2), d in b.terms.items():
         key = transpose(mid) if transpose_middle else mid
         for k1, c in by_mid.get(key, ()):
-            out.add_term(k1, k2, c * d)
+            out.add_term((k1, k2), c * d)
     return out

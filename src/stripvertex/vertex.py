@@ -197,20 +197,16 @@ def glue_strip(strip: StripGeometry, cap: int, ring=SYMBOLIC,
                     negate = not negate
                 if negate:
                     val = -val
-                out.add_term(l1, l2, NovikovSeries.monomial(exps, val))
+                out.add_term((l1, l2), NovikovSeries.monomial(exps, val))
     return out
 
 
 def z_open(z: SymFunc2) -> SymFunc2:
     """Quotient by the empty-boundary part, so the constant term becomes 1."""
-    den = z.coefficient((), ())
+    den = z.coefficient(((), ()))
     if den.constant_term(z.ring).is_zero():
         raise NonUnitClosedSector("empty-boundary series has no constant term")
-    inv = den.truncate(z.cap).inverse(z.ring)
-    out = SymFunc2.zero(z.ring, z.cap, z.basis)
-    for (l1, l2), c in z.terms.items():
-        out.add_term(l1, l2, c * inv)
-    return out
+    return z.scale(den.truncate(z.cap).inverse(z.ring))
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +243,14 @@ def closed_form(strip: StripGeometry, cap: int, ring=SYMBOLIC) -> SymFunc2:
             m2 = strip.q_interval(k, n, ring, d)
             sgn = _disk_sign_second(vt, last, d)
             row2 = row2 + m2.scale(disk if sgn > 0 else -disk)
-        log.add_term((d,), (), row1)
-        log.add_term((), (d,), row2)
+        log.add_term(((d,), ()), row1)
+        log.add_term(((), (d,)), row2)
         annulus = strip.q_interval(1, n, ring, d)
         if last == "A":
             ann = inv_d if d % 2 else -inv_d
         else:
             ann = -inv_d
-        log.add_term((d,), (d,), annulus.scale(ann))
+        log.add_term(((d,), (d,)), annulus.scale(ann))
     return log.exp().convert("schur")
 
 
@@ -291,7 +287,7 @@ def two_leg_vertex_series(cap: int, ring=SYMBOLIC) -> SymFunc2:
     for m1 in enumerate_partitions(cap):
         for m2 in enumerate_partitions(cap - size(m1)):
             val = framed_vertex(m1, m2, (), -1, 0, 0, ring)
-            out.add_term(m1, m2, NovikovSeries.constant(val))
+            out.add_term((m1, m2), NovikovSeries.constant(val))
     return out
 
 
@@ -306,10 +302,10 @@ def two_leg_product_form(cap: int, ring=SYMBOLIC) -> SymFunc2:
         inv_d = ring.from_fraction(Fraction(1, d))
         disk = inv_d / ring.quantum_int(d)
         alt = disk if d % 2 else -disk
-        log.add_term((d,), (), NovikovSeries.constant(alt))
-        log.add_term((), (d,), NovikovSeries.constant(disk))
+        log.add_term(((d,), ()), NovikovSeries.constant(alt))
+        log.add_term(((), (d,)), NovikovSeries.constant(disk))
         ann = inv_d if d % 2 else -inv_d
-        log.add_term((d,), (d,), NovikovSeries.constant(ann))
+        log.add_term(((d,), (d,)), NovikovSeries.constant(ann))
     return log.exp().convert("schur")
 
 

@@ -67,7 +67,7 @@ def test_sigma_q_shifts_coefficients():
     cap = 3
     assert sigma_q(QSeries.one(R, cap)) == QSeries.one(R, cap)
     x = QSeries.variable(R, cap)
-    assert sigma_q(x) == x.scale(R.t_power(2))
+    assert sigma_q(x) == x.scale_scalar(R.t_power(2))
     sq = (QSeries.one(R, 2) + QSeries.variable(R, 2))
     sq = sq * sq
     got = sigma_q(sq)

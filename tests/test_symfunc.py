@@ -12,15 +12,14 @@ from fractions import Fraction
 import pytest
 
 from stripvertex import partitions as pt
+from stripvertex.qdiff import QSeries
 from stripvertex.scalars import SYMBOLIC, NovikovSeries, NumericQ
 from stripvertex.symfunc import (
     NonNilpotentArgument,
     SymFunc,
     SymFunc2,
-    adams,
     contract_middle,
     hall_pairing,
-    plethystic_exp,
     principal_spec_h,
     principal_spec_schur_hook,
     principal_spec_skew,
@@ -246,56 +245,7 @@ def test_skew_schur_edge_cases():
     assert skew_schur((3,), (), R) == SymFunc.schur((3,), R, 3)
 
 
-# --- Adams and plethystic exponentials ---------------------------------------------
-
-def test_adams_on_power_sums():
-    f = adams(3, SymFunc.power_sum((2, 1), R, 9))
-    assert list(f.terms) == [(6, 3)]
-
-
-def test_adams_on_schur():
-    # psi_2(s_1) = p_2 = s_2 - s_11
-    f = adams(2, SymFunc.schur((1,), R, 2))
-    expect = SymFunc.schur((2,), R, 2) - SymFunc.schur((1, 1), R, 2)
-    assert f == expect
-
-
-def test_adams_multiplicative():
-    rng = random.Random(17)
-    lams = pt.enumerate_partitions(3)
-    for _ in range(8):
-        a, b = rng.choice(lams), rng.choice(lams)
-        f, g = SymFunc.schur(a, R, 8), SymFunc.schur(b, R, 8)
-        assert adams(2, f * g) == adams(2, f) * adams(2, g)
-
-
-def test_plethystic_exp_of_single_p1():
-    # Exp(x p_1) = sum_n x^n s_(n);  alternating variant gives columns
-    x = NovikovSeries.monomial({"x": 1}, R.one, cap=4)
-    f = SymFunc.power_sum((1,), R, 4).scale(x)
-    full = plethystic_exp(f).convert("schur")
-    alt = plethystic_exp(f, "alternating").convert("schur")
-    for n in range(5):
-        xe = NovikovSeries.monomial({"x": n}, R.one, cap=4) if n else NovikovSeries.constant(R.one, 4)
-        assert full.coefficient((n,) if n else ()) == xe
-        assert alt.coefficient((1,) * n) == xe
-    assert all(len(k) <= 1 for k in full.terms)
-    assert all(pt.size(k) == 0 or k[0] == 1 for k in alt.terms)
-
-
-def test_plethystic_exp_additive_in_argument():
-    x = NovikovSeries.monomial({"x": 1}, R.one, cap=3)
-    y = NovikovSeries.monomial({"y": 1}, R.one, cap=3)
-    f = SymFunc.power_sum((1,), R, 3).scale(x)
-    g = SymFunc.power_sum((2,), R, 3).scale(y)
-    assert plethystic_exp(f + g) == plethystic_exp(f) * plethystic_exp(g)
-
-
-def test_plethystic_exp_rejects_constant():
-    f = SymFunc.one(R, 3)
-    with pytest.raises(NonNilpotentArgument):
-        plethystic_exp(f)
-
+# --- exponentials ----------------------------------------------------------------
 
 def test_sym_exp_log_degree_by_degree():
     # exp(p_1 + p_2/2) has h_2 as its degree-2 part
@@ -304,6 +254,54 @@ def test_sym_exp_log_degree_by_degree():
     got = sym_exp(g).convert("schur")
     assert got.coefficient((2,)) == NovikovSeries.constant(R.one)
     assert got.coefficient((1, 1)).is_zero()
+
+
+# the keys of positive size up to cap, per series kind
+EXP_KEYS = {
+    SymFunc: lambda cap: [k for k in pt.enumerate_partitions(cap) if k],
+    SymFunc2: lambda cap: [(k1, k2) for k1 in pt.enumerate_partitions(cap)
+                           for k2 in pt.enumerate_partitions(cap - pt.size(k1))
+                           if k1 or k2],
+    QSeries: lambda cap: list(range(1, cap + 1)),
+}
+SERIES_KINDS = pytest.mark.parametrize("cls", list(EXP_KEYS), ids=lambda c: c.__name__)
+
+
+def _random_log(rng, cls, cap):
+    log = cls.zero(R, cap)
+    for key in rng.sample(EXP_KEYS[cls](cap), 3):
+        c = R.monomial(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)),
+                       rng.randint(-2, 2))
+        log.add_term(key, NovikovSeries.monomial({"Q": rng.randint(0, 1)}, c))
+    return log
+
+
+@SERIES_KINDS
+def test_exp_turns_sums_into_products(cls):
+    rng = random.Random(61)
+    cap = 4
+    for _ in range(3):
+        a, b = _random_log(rng, cls, cap), _random_log(rng, cls, cap)
+        assert (a + b).exp() == a.exp() * b.exp()
+        assert (-a).exp() * a.exp() == cls.one(R, cap)
+
+
+@SERIES_KINDS
+def test_exp_rejects_an_empty_key_term(cls):
+    q = NovikovSeries.monomial({"Q": 1}, R.one)
+    log = cls.one(R, 3).scale(q)
+    log.add_term(EXP_KEYS[cls](3)[0], q)
+    with pytest.raises(NonNilpotentArgument):
+        log.exp()
+
+
+@SERIES_KINDS
+def test_series_reject_mixed_rings(cls):
+    sym, num = cls.one(R, 2), cls.one(NumericQ(Fraction(3, 2)), 2)
+    with pytest.raises(ValueError):
+        sym + num
+    with pytest.raises(ValueError):
+        sym * num
 
 
 # --- principal specializations -------------------------------------------------------
@@ -430,7 +428,7 @@ def test_numeric_mode_specializations_match_eval():
 
 def test_tensor_and_convert_round_trip():
     f = tensor(SymFunc.schur((2,), R, 3), SymFunc.schur((1,), R, 3), cap=3)
-    assert f.convert("schur").coefficient((2,), (1,)) == NovikovSeries.constant(R.one)
+    assert f.convert("schur").coefficient(((2,), (1,))) == NovikovSeries.constant(R.one)
     g = f.convert("schur").convert("p")
     assert g == f.convert("p")
 
@@ -439,7 +437,7 @@ def test_two_alphabet_product():
     a = tensor(SymFunc.schur((1,), R, 4), SymFunc.one(R, 4), cap=4)
     b = tensor(SymFunc.one(R, 4), SymFunc.schur((1,), R, 4), cap=4)
     ab = (a * b).convert("schur")
-    assert ab.coefficient((1,), (1,)) == NovikovSeries.constant(R.one)
+    assert ab.coefficient(((1,), (1,))) == NovikovSeries.constant(R.one)
 
 
 def test_cauchy_kernel_small():
@@ -453,7 +451,7 @@ def test_cauchy_kernel_small():
     lhs = log.exp().convert("schur")
     rhs = SymFunc2.zero(R, cap, "schur")
     for lam in pt.enumerate_partitions(cap // 2):
-        rhs.add_term(lam, lam, NovikovSeries.constant(R.one))
+        rhs.add_term((lam, lam), NovikovSeries.constant(R.one))
     # combined-degree truncation keeps |lam1|+|lam2| <= 4, i.e. |lam| <= 2 on the diagonal
     assert lhs == rhs
 
@@ -463,10 +461,10 @@ def test_contract_middle_plain_and_transposed():
     u = tensor(SymFunc.schur((2,), R, cap), SymFunc.schur((2,), R, cap), cap)
     v = tensor(SymFunc.schur((2,), R, cap), SymFunc.schur((2, 1), R, cap), cap + 1)
     got = contract_middle(u, v)
-    assert got.coefficient((2,), (2, 1)) == NovikovSeries.constant(R.one)
+    assert got.coefficient(((2,), (2, 1))) == NovikovSeries.constant(R.one)
     v2 = tensor(SymFunc.schur((1, 1), R, cap), SymFunc.schur((2, 1), R, cap), cap + 1)
     got2 = contract_middle(u, v2, transpose_middle=True)
-    assert got2.coefficient((2,), (2, 1)) == NovikovSeries.constant(R.one)
+    assert got2.coefficient(((2,), (2, 1))) == NovikovSeries.constant(R.one)
     assert contract_middle(u, v2).is_zero()
 
 
