@@ -3,7 +3,7 @@
 One job per invocation.  A job is described by a JSON file (--spec) and
 tweaked by flags; the result is a JSON document on stdout or at --out.
 Exit status: 0 on success or a passing verification, 1 when a verification
-fails, 2 on malformed input.
+fails, 2 on malformed input (including a truncation above MAX_CAP).
 """
 
 import argparse
@@ -32,6 +32,23 @@ VERIFY_COMMANDS = ("verify-dilog", "verify-two-leg", "verify-strip",
                    "verify-curve")
 COMMANDS = TABLE_COMMANDS + VERIFY_COMMANDS + ("mirror-curve",)
 NEEDS_TYPES = TABLE_COMMANDS + ("verify-strip", "verify-curve", "mirror-curve")
+
+# Largest truncation each command accepts; a larger one exits with status 2.
+# Work grows faster than exponentially in the cap, so a mistyped cap such as
+# 1000 would otherwise run without bound.  Each ceiling is twice the largest
+# cap the benchmark runs (at numeric q: strip tables 6, closed-form 8,
+# verify-curve 10, verify-dilog 9, verify-two-leg 6).  mirror-curve ignores
+# the cap but checks it like every other command.
+MAX_CAP = {
+    "vertex": 12,
+    "partition": 12,
+    "closed-form": 16,
+    "verify-strip": 12,
+    "verify-curve": 20,
+    "verify-dilog": 18,
+    "verify-two-leg": 12,
+    "mirror-curve": 20,
+}
 
 
 class JobError(Exception):
@@ -83,6 +100,9 @@ def _resolve_job(args) -> dict:
     cap = args.cap if args.cap is not None else spec.get("truncation", DEFAULT_CAP)
     if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
         raise JobError("truncation must be a non-negative integer")
+    if cap > MAX_CAP[command]:
+        raise JobError(f"truncation {cap} is above the ceiling of {command!r}, "
+                       f"{MAX_CAP[command]}")
 
     q_mode = spec.get("q_mode", "symbolic")
     q_value = spec.get("q_value")

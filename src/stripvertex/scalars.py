@@ -1,11 +1,24 @@
 """Exact coefficient arithmetic in t = q^(1/2) and the loop variable a.
 
-A symbolic scalar is a reduced fraction num/den where num is a Laurent
-polynomial in t and a with rational coefficients and den is a polynomial
-in t alone.  Reduction keeps a unique canonical form (den has nonzero
-constant term, integer primitive coefficients, positive leading
-coefficient, and shares no polynomial factor with num), so equality is
-plain dict comparison.
+A symbolic scalar is a reduced fraction num/den held with integer
+coefficients only: num maps (t exponent, a exponent) to an int, a Laurent
+polynomial in t and a, and den maps a t exponent to an int, a polynomial
+in t alone.  Reduction keeps a unique canonical form, so equality is plain
+dict comparison:
+
+- min(den) == 0 (powers of t live in num);
+- the leading coefficient of den is positive;
+- den shares no polynomial factor with the a-slices of num (the
+  coefficients of the powers of a, taken jointly);
+- num and den together have integer content 1.
+
+Rational content lives in den: 1/2 is num {(0, 0): 1} over den {0: 2}.
+The common factor is found with the primitive polynomial remainder
+sequence over the integers (Brown 1971; Knuth TAOCP vol. 2, 4.6.1) and
+divided out exactly in Z[t].  Most reductions have no common factor; an
+integer evaluation past the roots of den proves that first, without the
+remainder sequence.  Printing divides out the content of den, so a scalar
+prints as rational coefficients over a primitive denominator.
 
 A numeric ring pins t to a rational value while a stays formal; the same
 operation names apply, which lets the higher layers run unchanged in
@@ -18,14 +31,18 @@ coefficients are scalars of either kind.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
+# coefficients of the numeric lane
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# the denominator of every symbolic scalar with an integer Laurent numerator
+_DEN_ONE = {0: 1}
+
 
 # ---------------------------------------------------------------------------
-# dense integer polynomial helpers (used only for gcd reduction)
+# dense integer polynomial helpers, lowest degree first
 
 def _trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
@@ -76,49 +93,64 @@ def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _frac_poly_to_int(p: dict[int, Fraction]) -> list[int]:
-    # clear denominators; content is irrelevant for gcd purposes
-    if not p:
-        return []
-    deg = max(p)
-    lcm = 1
-    for c in p.values():
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    out = [0] * (deg + 1)
+def _dense(p: dict[int, int], shift: int = 0) -> list[int]:
+    out = [0] * (max(p) - shift + 1)
     for e, c in p.items():
-        out[e] = int(c * lcm)
+        out[e - shift] = c
     return out
 
 
-def _divexact(p: dict[int, Fraction], g: list[int]) -> dict[int, Fraction]:
-    # exact division of a Fraction polynomial dict by an integer polynomial
+def _coprime_by_value(den: list[int], polys) -> bool:
+    """True when integer values prove den shares no factor with polys jointly.
+
+    A common factor G in Z[t] makes G(x) divide den(x) and every p(x).  At
+    an integer x two past the Cauchy bound of den's roots, every root r of
+    G has |x - r| > 1, so |G(x)| >= 2 unless G is constant; a gcd of 1 of
+    the values rules out every nonconstant G.  False only means unproven.
+    """
+    x0 = 3 + max(map(abs, den)) // abs(den[-1])
+    for x in (x0, x0 + 1):
+        h = _horner(den, x)
+        for p in polys:
+            h = gcd(h, _horner(p, x))
+            if h == 1:
+                return True
+    return False
+
+
+def _horner(p: list[int], x: int) -> int:
+    v = 0
+    for c in reversed(p):
+        v = v * x + c
+    return v
+
+
+def _divexact(p: list[int], g: list[int]) -> list[int]:
+    # quotient of p by g in Z[t]; g must divide p, and a primitive g divides
+    # an integer p with an integer quotient (Gauss's lemma)
     dg = len(g) - 1
     lead = g[-1]
-    rem = dict(p)
-    out: dict[int, Fraction] = {}
-    while rem:
-        e = max(rem)
-        c = rem[e]
-        k = e - dg
-        q = c / lead
-        out[k] = q
-        for i, gi in enumerate(g):
-            if gi:
-                key = k + i
-                nv = rem.get(key, _ZERO) - q * gi
-                if nv:
-                    rem[key] = nv
-                else:
-                    rem.pop(key, None)
+    r = p[:]
+    out = [0] * (len(p) - dg)
+    for k in range(len(out) - 1, -1, -1):
+        c = r[k + dg]
+        if c:
+            q = c // lead
+            out[k] = q
+            for i, gi in enumerate(g):
+                r[k + i] -= q * gi
     return out
 
 
-def _poly_mul(p: dict[int, Fraction], q: dict[int, Fraction]) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
+# ---------------------------------------------------------------------------
+# sparse integer polynomials: den as {t exp: c}, num as {(t exp, a exp): c}
+
+def _poly_mul(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():
             k = e1 + e2
-            v = out.get(k, _ZERO) + c1 * c2
+            v = out.get(k, 0) + c1 * c2
             if v:
                 out[k] = v
             else:
@@ -126,13 +158,13 @@ def _poly_mul(p: dict[int, Fraction], q: dict[int, Fraction]) -> dict[int, Fract
     return out
 
 
-def _num_mul(n1: dict[tuple[int, int], Fraction],
-             n2: dict[tuple[int, int], Fraction]) -> dict[tuple[int, int], Fraction]:
-    out: dict[tuple[int, int], Fraction] = {}
+def _num_mul(n1: dict[tuple[int, int], int],
+             n2: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    out: dict[tuple[int, int], int] = {}
     for (t1, a1), c1 in n1.items():
         for (t2, a2), c2 in n2.items():
             k = (t1 + t2, a1 + a2)
-            v = out.get(k, _ZERO) + c1 * c2
+            v = out.get(k, 0) + c1 * c2
             if v:
                 out[k] = v
             else:
@@ -143,7 +175,7 @@ def _num_mul(n1: dict[tuple[int, int], Fraction],
 def _num_add(n1, n2):
     out = dict(n1)
     for k, c in n2.items():
-        v = out.get(k, _ZERO) + c
+        v = out.get(k, 0) + c
         if v:
             out[k] = v
         else:
@@ -151,52 +183,71 @@ def _num_add(n1, n2):
     return out
 
 
-def _reduce(num: dict[tuple[int, int], Fraction],
-            den: dict[int, Fraction]):
-    """Bring num/den to the canonical form described in the module docstring."""
+def _clean_input(num: dict, den: dict) -> tuple[dict, dict]:
+    # drop zero terms, then scale num and den by the lcm of the denominators
+    # of their coefficients, so that a caller may pass ints or Fractions
     num = {k: c for k, c in num.items() if c}
     den = {e: c for e, c in den.items() if c}
+    m = 1
+    for c in (*num.values(), *den.values()):
+        m = lcm(m, Fraction(c).denominator)
+    return ({k: int(c * m) for k, c in num.items()},
+            {e: int(c * m) for e, c in den.items()})
+
+
+def _reduce(num: dict[tuple[int, int], int],
+            den: dict[int, int]):
+    """Bring num/den to the canonical form described in the module docstring.
+
+    The arithmetic passes nonzero int coefficients; anything else (zero
+    terms, Fraction coefficients from a caller building a Scalar by hand)
+    is cleaned once on entry.
+    """
+    if (0 in num.values() or 0 in den.values()
+            or {*map(type, num.values()), *map(type, den.values())} != {int}):
+        num, den = _clean_input(num, den)
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
-        return {}, {0: _ONE}
+        return {}, {0: 1}
     m = min(den)
     if m:
         den = {e - m: c for e, c in den.items()}
         num = {(te - m, ae): c for (te, ae), c in num.items()}
-    if len(den) > 1 or den.get(0) != _ONE:
+    if len(den) > 1:
         # cancel any common polynomial factor (powers of t were moved out above)
-        slices: dict[int, dict[int, Fraction]] = {}
+        slices: dict[int, dict[int, int]] = {}
         for (te, ae), c in num.items():
             slices.setdefault(ae, {})[te] = c
-        g = _frac_poly_to_int(den)
-        for sl in slices.values():
-            if len(g) <= 1:
+        shifts = {ae: min(sl) for ae, sl in slices.items()}
+        dense = {ae: _dense(sl, shifts[ae]) for ae, sl in slices.items()}
+        d = g = _dense(den)
+        if not _coprime_by_value(d, dense.values()):
+            for p in dense.values():
+                g = _int_poly_gcd(g, p)
+                if len(g) <= 1:
+                    break
+            if len(g) > 1:
+                den = {e: c for e, c in enumerate(_divexact(d, g)) if c}
+                num = {}
+                for ae, p in dense.items():
+                    for e, c in enumerate(_divexact(p, g)):
+                        if c:
+                            num[(e + shifts[ae], ae)] = c
+    # joint integer content, signed so that den leads positive
+    cont = 0
+    for c in den.values():
+        cont = gcd(cont, c)
+    if cont != 1:
+        for c in num.values():
+            cont = gcd(cont, c)
+            if cont == 1:
                 break
-            shift = min(sl)
-            g = _int_poly_gcd(g, _frac_poly_to_int({e - shift: c for e, c in sl.items()}))
-        if len(g) > 1:
-            den = _divexact(den, g)
-            new_num: dict[tuple[int, int], Fraction] = {}
-            for ae, sl in slices.items():
-                shift = min(sl)
-                q = _divexact({e - shift: c for e, c in sl.items()}, g)
-                for e, c in q.items():
-                    new_num[(e + shift, ae)] = c
-            num = new_num
-        # normalize den to primitive integer coefficients, positive leading one
-        lcm = 1
-        for c in den.values():
-            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-        cont = 0
-        for c in den.values():
-            cont = gcd(cont, int(c * lcm))
-        f = Fraction(cont, lcm)
-        if den[max(den)] < 0:
-            f = -f
-        if f != 1:
-            den = {e: c / f for e, c in den.items()}
-            num = {k: c / f for k, c in num.items()}
+    if den[max(den)] < 0:
+        cont = -cont
+    if cont != 1:
+        num = {k: c // cont for k, c in num.items()}
+        den = {e: c // cont for e, c in den.items()}
     return num, den
 
 
@@ -222,7 +273,7 @@ class Scalar:
         return not self.num
 
     def is_one(self) -> bool:
-        return self.num == {(0, 0): _ONE} and self.den == {0: _ONE}
+        return self.num == {(0, 0): 1} and self.den == _DEN_ONE
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other: "Scalar") -> "Scalar":
@@ -262,9 +313,8 @@ class Scalar:
         if len(aexps) != 1:
             raise ValueError("divisor must be a-free up to a monomial in a")
         ae = aexps.pop()
-        lt = {te: c for (te, _), c in other.num.items()}
-        m = min(lt)
-        lp = {te - m: c for te, c in lt.items()}
+        m = min(te for te, _ in onum)
+        lp = {te - m: c for (te, _), c in onum.items()}
         d2 = {(e - m, -ae): c for e, c in other.den.items()}
         num = _num_mul(self.num, d2)
         return Scalar(num, _poly_mul(self.den, lp), self.ring)
@@ -291,10 +341,10 @@ class Scalar:
 
     def subs_a_one(self) -> "Scalar":
         """Set a = 1."""
-        num: dict[tuple[int, int], Fraction] = {}
+        num: dict[tuple[int, int], int] = {}
         for (te, _), c in self.num.items():
             k = (te, 0)
-            v = num.get(k, _ZERO) + c
+            v = num.get(k, 0) + c
             if v:
                 num[k] = v
             else:
@@ -316,18 +366,12 @@ class Scalar:
         t_value = Fraction(t_value)
         if t_value == 0:
             raise ZeroDivisionError("t must be a nonzero rational")
-        dv = _ZERO
-        for e, c in self.den.items():
-            dv += c * t_value ** e
+        dv = sum(c * t_value ** e for e, c in self.den.items())
         if dv == 0:
             raise ZeroDivisionError("denominator vanishes at this value of t")
         out: dict[int, Fraction] = {}
         for (te, ae), c in self.num.items():
-            v = out.get(ae, _ZERO) + c * t_value ** te
-            if v:
-                out[ae] = v
-            else:
-                out.pop(ae, None)
+            out[ae] = out.get(ae, 0) + c * t_value ** te
         return LaurentScalar({ae: v / dv for ae, v in out.items()}, NumericQ(t_value))
 
     # -- plumbing -----------------------------------------------------------
@@ -342,16 +386,24 @@ class Scalar:
         return hash((tuple(sorted(self.num.items())), tuple(sorted(self.den.items()))))
 
     def __str__(self) -> str:
-        ns = _num_str(self.num)
-        if self.den == {0: _ONE}:
+        # print rational coefficients over the primitive part of den
+        cont = 0
+        for c in self.den.values():
+            cont = gcd(cont, c)
+        num, den = self.num, self.den
+        if cont != 1:
+            num = {k: Fraction(c, cont) for k, c in num.items()}
+            den = {e: c // cont for e, c in den.items()}
+        ns = _num_str(num)
+        if den == _DEN_ONE:
             return ns
-        return f"({ns})/({_den_str(self.den)})"
+        return f"({ns})/({_den_str(den)})"
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
 
 
-def _term_str(c: Fraction, vars_part: str) -> str:
+def _term_str(c: Fraction | int, vars_part: str) -> str:
     if not vars_part:
         return str(c)
     if c == 1:
@@ -365,7 +417,7 @@ def _vpow(name: str, e: int) -> str:
     return name if e == 1 else f"{name}^{e}"
 
 
-def _num_str(num: dict[tuple[int, int], Fraction]) -> str:
+def _num_str(num: dict[tuple[int, int], Fraction | int]) -> str:
     if not num:
         return "0"
     parts = []
@@ -379,7 +431,7 @@ def _num_str(num: dict[tuple[int, int], Fraction]) -> str:
     return out
 
 
-def _den_str(den: dict[int, Fraction]) -> str:
+def _den_str(den: dict[int, int]) -> str:
     return _num_str({(e, 0): c for e, c in den.items()})
 
 
@@ -390,32 +442,32 @@ class SymbolicQ:
 
     def __init__(self):
         self.memo: dict = {}
-        self.one = Scalar({(0, 0): _ONE}, {0: _ONE}, self, reduced=True)
-        self.zero = Scalar({}, {0: _ONE}, self, reduced=True)
+        self.one = Scalar({(0, 0): 1}, {0: 1}, self, reduced=True)
+        self.zero = Scalar({}, {0: 1}, self, reduced=True)
 
     def from_fraction(self, c) -> Scalar:
-        c = Fraction(c)
-        if not c:
-            return self.zero
-        return Scalar({(0, 0): c}, {0: _ONE}, self, reduced=True)
+        """The rational constant c (an int, or a rational with numerator/denominator)."""
+        return self.monomial(c)
 
     def monomial(self, c, t_exp: int = 0, a_exp: int = 0) -> Scalar:
-        c = Fraction(c)
+        """c * t^t_exp * a^a_exp for a rational c (as in from_fraction)."""
         if not c:
             return self.zero
-        return Scalar({(t_exp, a_exp): c}, {0: _ONE}, self, reduced=True)
+        # a rational's numerator and denominator are coprime, denominator > 0
+        return Scalar({(t_exp, a_exp): c.numerator}, {0: c.denominator}, self,
+                      reduced=True)
 
     def t_power(self, k: int) -> Scalar:
-        return Scalar({(k, 0): _ONE}, {0: _ONE}, self, reduced=True)
+        return Scalar({(k, 0): 1}, {0: 1}, self, reduced=True)
 
     def a_power(self, k: int) -> Scalar:
-        return Scalar({(0, k): _ONE}, {0: _ONE}, self, reduced=True)
+        return Scalar({(0, k): 1}, {0: 1}, self, reduced=True)
 
     def quantum_int(self, n: int) -> Scalar:
         """The balanced quantum integer {n} = t^n - t^(-n)."""
         if n == 0:
             return self.zero
-        return Scalar({(n, 0): _ONE, (-n, 0): -_ONE}, {0: _ONE}, self, reduced=True)
+        return Scalar({(n, 0): 1, (-n, 0): -1}, {0: 1}, self, reduced=True)
 
     def __repr__(self):
         return "SymbolicQ()"

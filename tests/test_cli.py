@@ -49,7 +49,7 @@ def test_partition_table_has_unit_constant(tmp_path, capsys):
         ["1", "(t)/(-1 + t^2)"], ["Q1", "(-t)/(-1 + t^2)"]]
 
 
-def test_invalid_inputs_exit_two(tmp_path, capsys):
+def test_invalid_inputs_exit_two(tmp_path, capsys, monkeypatch):
     bad_types = write_spec(tmp_path, "a.json", types="", command="vertex")
     assert run_cli(capsys, "--spec", bad_types)[0] == 2
     no_cmd = write_spec(tmp_path, "b.json", types="AB")
@@ -63,6 +63,19 @@ def test_invalid_inputs_exit_two(tmp_path, capsys):
     bad_cap = write_spec(tmp_path, "e.json", types="AB", command="vertex",
                          truncation=-1)
     assert run_cli(capsys, "--spec", bad_cap)[0] == 2
+    # a cap above the ceiling must be refused before any work starts
+    def refuse(job):
+        raise AssertionError(f"{job['command']} ran with truncation {job['cap']}")
+
+    for runner in ("_run_table", "_run_verify", "_run_mirror_curve"):
+        monkeypatch.setattr(cli, runner, refuse)
+    huge_cap = write_spec(tmp_path, "f.json", types="AB", command="vertex",
+                          truncation=1000)
+    assert run_cli(capsys, "--spec", huge_cap)[0] == 2
+    for command, ceiling in cli.MAX_CAP.items():
+        status = run_cli(capsys, "--spec", huge_cap, "--command", command,
+                         "--cap", str(ceiling + 1))[0]
+        assert status == 2, command
     # argparse rejects names outside the command list
     with pytest.raises(SystemExit) as err:
         cli.main(["--command", "verify-everything"])

@@ -119,10 +119,10 @@ def expand_s(lam, n):
 def as_fraction(scalar):
     if scalar.is_zero():
         return Fraction(0)
-    assert scalar.den == {0: Fraction(1)}, f"not a constant: {scalar}"
     (key, c), = scalar.num.items()
     assert key == (0, 0), f"not a constant: {scalar}"
-    return c
+    assert list(scalar.den) == [0], f"not a constant: {scalar}"
+    return Fraction(c) / scalar.den[0]
 
 
 def expand_symfunc(f, n):
