@@ -3,7 +3,8 @@
 One job per invocation.  A job is described by a JSON file (--spec) and
 tweaked by flags; the result is a JSON document on stdout or at --out.
 Exit status: 0 on success or a passing verification, 1 when a verification
-fails, 2 on malformed input (including a truncation above MAX_CAP).
+fails, 2 on malformed input (including a truncation above MAX_CAP) and
+when the result cannot be written to --out.
 """
 
 import argparse
@@ -231,8 +232,11 @@ def _run_mirror_curve(job) -> dict:
 def _emit(payload: dict, out_path) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise JobError(f"cannot write output file: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -1,17 +1,19 @@
 """One-variable reduction of skein elements and the annihilation check.
 
 Collapsing every power sum p_d to x^d turns a skein solution into a
-q-series z(x).  The quantum curve of a strip acts on such series through
-the shift x -> qx, and z(x) is annihilated by it.  This module builds the
-reduction, the shift, and the residual test.
+q-series z(x), a QSeries: the one-variable instance of the truncated
+series core scalars.TruncatedSeries.  The quantum curve of a strip acts on
+such series through the shift x -> qx, and z(x) is annihilated by it.
+This module builds the reduction, the shift, and the residual test; the
+strip arguments may be StripGeometry objects or their type words.
 """
 
 import operator
 
 from .partitions import size
-from .scalars import SYMBOLIC, NovikovSeries
+from .scalars import SYMBOLIC, NovikovSeries, TruncatedSeries
 from .skein import psi, psi_inverse
-from .symfunc import SymFunc, TruncatedSeries
+from .symfunc import SymFunc
 from .vertex import StripGeometry, mirror_and_quantum, strip_params
 
 __all__ = [
@@ -77,9 +79,8 @@ def sigma_q(z: QSeries) -> QSeries:
                    z.cap, ring, clean=True)
 
 
-def _interval_weights(strip, ring):
-    strip = StripGeometry(strip) if isinstance(strip, str) else strip
-    return strip_params(strip, ring)
+def _as_strip(strip) -> StripGeometry:
+    return StripGeometry(strip) if isinstance(strip, str) else strip
 
 
 def log_reduce(strip, cap: int, ring=SYMBOLIC) -> QSeries:
@@ -88,7 +89,7 @@ def log_reduce(strip, cap: int, ring=SYMBOLIC) -> QSeries:
     Must agree with u1_reduce of the dilogarithm product built from the
     same interval weights; the exponential is the shared series one.
     """
-    alphas, betas = _interval_weights(strip, ring)
+    alphas, betas = strip_params(_as_strip(strip), ring)
     log = QSeries.zero(ring, cap)
     for d in range(1, cap + 1):
         tot = NovikovSeries.constant(ring.zero)
@@ -123,7 +124,7 @@ def curve_residual(strip, z: QSeries, ring=SYMBOLIC) -> QSeries:
     (classically the two pairings describe the same curve, read through
     y -> 1/y).  The module tests pin the degree-one cancellation by hand.
     """
-    strip = StripGeometry(strip) if isinstance(strip, str) else strip
+    strip = _as_strip(strip)
     curve = mirror_and_quantum(strip, ring)
     a_poly = QSeries.from_list(curve["quantum"]["A"], z.cap, ring)
     b_poly = QSeries.from_list(curve["quantum"]["B"], z.cap, ring)
@@ -132,7 +133,7 @@ def curve_residual(strip, z: QSeries, ring=SYMBOLIC) -> QSeries:
 
 def verify_annihilation(strip, cap: int, ring=SYMBOLIC) -> dict:
     """Check that the quantum curve kills the reduced solution through x^cap."""
-    strip = StripGeometry(strip) if isinstance(strip, str) else strip
+    strip = _as_strip(strip)
     alphas, betas = strip_params(strip, ring)
     z = _reduced_solution(alphas, betas, cap, ring)
     r = curve_residual(strip, z, ring)

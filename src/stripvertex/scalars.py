@@ -24,14 +24,19 @@ A numeric ring pins t to a rational value while a stays formal; the same
 operation names apply, which lets the higher layers run unchanged in
 either mode.
 
-The module also provides NovikovSeries, a truncated multivariate series
-in named formal parameters (Kahler classes, brane weights) whose
-coefficients are scalars of either kind.
+The module also holds the one truncated-series core, TruncatedSeries:
+sums, products, truncation and equality for every series kind of the
+package, with one ring check on sums, products and ==.  Its instance
+here is NovikovSeries, a truncated multivariate series in named formal
+parameters (Kahler classes, brane weights) whose coefficients are
+scalars of either kind; symfunc and qdiff build the symmetric-function
+and one-variable kinds on the same core, with Novikov series as their
+coefficients.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, inf, isqrt, lcm
 
 # coefficients of the numeric lane
 _ZERO = Fraction(0)
@@ -256,7 +261,28 @@ def _lane_error(a, b) -> TypeError:
                      "scalars of different rings do not mix")
 
 
-class Scalar:
+class _ScalarOps:
+    """The operations both scalar kinds derive from their own + - * /."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __pow__(self, k: int):
+        if k < 0:
+            return self.ring.one / self ** (-k)
+        out = self.ring.one
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base if k > 1 else base
+            k >>= 1
+        return out
+
+
+class Scalar(_ScalarOps):
     """Canonical rational function in t (denominator a-free, numerator Laurent in t, a)."""
 
     __slots__ = ("num", "den", "ring")
@@ -288,9 +314,6 @@ class Scalar:
         num = _num_add(_num_mul(self.num, d2), _num_mul(other.num, d1))
         return Scalar(num, _poly_mul(self.den, other.den), self.ring)
 
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        return self + (-other)
-
     def __neg__(self) -> "Scalar":
         return Scalar({k: -c for k, c in self.num.items()}, self.den, self.ring, reduced=True)
 
@@ -318,18 +341,6 @@ class Scalar:
         d2 = {(e - m, -ae): c for e, c in other.den.items()}
         num = _num_mul(self.num, d2)
         return Scalar(num, _poly_mul(self.den, lp), self.ring)
-
-    def __pow__(self, k: int) -> "Scalar":
-        if k < 0:
-            return self.ring.one / self ** (-k)
-        out = self.ring.one
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
 
     # -- substitutions ------------------------------------------------------
     def subs_q_inverse(self) -> "Scalar":
@@ -473,7 +484,7 @@ class SymbolicQ:
         return "SymbolicQ()"
 
 
-class LaurentScalar:
+class LaurentScalar(_ScalarOps):
     """Numeric-mode scalar: a Laurent polynomial in a over the rationals."""
 
     __slots__ = ("coeffs", "ring")
@@ -503,9 +514,6 @@ class LaurentScalar:
             else:
                 out.pop(e, None)
         return LaurentScalar(out, self.ring, clean=True)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __neg__(self):
         return LaurentScalar({e: -c for e, c in self.coeffs.items()}, self.ring, clean=True)
@@ -537,18 +545,6 @@ class LaurentScalar:
             raise ValueError("divisor must be a-free up to a monomial in a")
         (ae, c), = ocoeffs.items()
         return LaurentScalar({e - ae: v / c for e, v in self.coeffs.items()}, self.ring, clean=True)
-
-    def __pow__(self, k: int) -> "LaurentScalar":
-        if k < 0:
-            return self.ring.one / self ** (-k)
-        out = self.ring.one
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
 
     def subs_a_one(self) -> "LaurentScalar":
         return LaurentScalar({0: sum(self.coeffs.values(), _ZERO)}, self.ring)
@@ -650,138 +646,291 @@ def quantum_integer(n: int, ring=SYMBOLIC):
 
 
 # ---------------------------------------------------------------------------
-# truncated multivariate series in named formal parameters
+# the truncated series core, and its instance in named formal parameters
+
+_BASES = ("schur", "p")
+
+
+class NonNilpotentArgument(ValueError):
+    """Raised when an exponential is fed a series with an empty-key term."""
+
+
+class TruncatedSeries:
+    """A sparse series in graded keys: the one series core of the package.
+
+    Subclasses supply the key hooks: _size (the grading, additive under
+    _key_mul), _key_mul (the product of two power sum keys), _unit (the
+    empty key), _key_str and _rewrite (one key in the other basis), and
+    _lift (a scalar as a coefficient).  Terms of key size above cap are
+    dropped; cap = math.inf keeps every term.  With _combined set, a
+    coefficient is also truncated to Novikov degree cap - size(key).
+    Products are taken in the "p" basis and returned in the basis of the
+    left factor.  Both operands of +, * and == must share one ring.
+
+    NovikovSeries has scalar coefficients; every other kind has Novikov
+    series coefficients, and the basis change, scale_scalar, map_coeffs
+    and the exponential act on those.
+    """
+
+    __slots__ = ("basis", "terms", "cap", "ring")
+    _combined = False
+    _lift = staticmethod(lambda scalar: NovikovSeries.constant(scalar))
+
+    def __init__(self, basis: str, terms: dict, cap, ring, clean: bool = False):
+        if basis not in _BASES:
+            raise ValueError(f"unknown basis {basis!r}")
+        self.basis, self.cap, self.ring = basis, cap, ring
+        self.terms = terms if clean else {}
+        if not clean:
+            for key, c in terms.items():
+                self.add_term(key, c)
+
+    # -- constructors ---------------------------------------------------------
+    @classmethod
+    def _new(cls, basis: str, terms: dict, cap, ring):
+        out = object.__new__(cls)
+        out.basis, out.terms, out.cap, out.ring = basis, terms, cap, ring
+        return out
+
+    @classmethod
+    def zero(cls, ring, cap, basis: str = "p"):
+        return cls._new(basis, {}, cap, ring)
+
+    @classmethod
+    def one(cls, ring, cap, basis: str = "p"):
+        out = cls.zero(ring, cap, basis)
+        out.add_term(cls._unit, cls._lift(ring.one))
+        return out
+
+    def _collect(self, pairs, cap, basis: str | None = None):
+        out = self._new(basis or self.basis, {}, cap, self.ring)
+        for key, c in pairs:
+            out.add_term(key, c)
+        return out
+
+    def add_term(self, key, c) -> None:
+        """Mutating accumulation used while assembling sums; truncates as it goes."""
+        room = self.cap - self._size(key)
+        if room >= 0:
+            self._put(key, c, room)
+
+    def _put(self, key, c, room) -> None:
+        # add_term for a key whose size is known to leave room >= 0 below cap
+        if self._combined:
+            c = c.truncate(room)
+        terms = self.terms
+        if key in terms:
+            c = terms[key] + c
+        if c.is_zero():
+            terms.pop(key, None)
+        else:
+            terms[key] = c
+
+    # -- ring structure --------------------------------------------------------
+    def _require_like(self, other) -> None:
+        if self.ring is not other.ring and self.ring != other.ring:
+            raise ValueError("mixed coefficient rings")
+
+    def __add__(self, other):
+        self._require_like(other)
+        b = other.convert(self.basis)
+        if self.cap <= b.cap:
+            out = self._new(self.basis, dict(self.terms), self.cap, self.ring)
+        else:
+            out = self.truncate(b.cap)
+        for key, c in b.terms.items():
+            out.add_term(key, c)
+        return out
+
+    def __neg__(self):
+        return self._new(self.basis, {k: -c for k, c in self.terms.items()},
+                         self.cap, self.ring)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        """Product, computed in the power sum basis, returned in the left basis."""
+        self._require_like(other)
+        a = self.convert("p")
+        b = other.convert("p")
+        cap = min(a.cap, b.cap)
+        size_of, key_mul = self._size, self._key_mul
+        right = [(k, size_of(k), c) for k, c in b.terms.items()]
+        out = self._new("p", {}, cap, self.ring)
+        for k1, c1 in a.terms.items():
+            room = cap - size_of(k1)
+            for k2, s2, c2 in right:
+                if s2 <= room:
+                    out._put(key_mul(k1, k2), c1 * c2, room - s2)
+        return out.convert(self.basis)
+
+    def _map(self, fn):
+        # fn of every coefficient on the same keys: only zeros drop out,
+        # unless _combined asks add_term to truncate each coefficient
+        if self._combined:
+            return self._collect(((k, fn(c)) for k, c in self.terms.items()), self.cap)
+        out = {}
+        for k, c in self.terms.items():
+            c = fn(c)
+            if not c.is_zero():
+                out[k] = c
+        return self._new(self.basis, out, self.cap, self.ring)
+
+    def scale(self, c):
+        """Every coefficient times c (a scalar for NovikovSeries, else a series)."""
+        return self._map(lambda v: v * c)
+
+    def scale_scalar(self, scalar):
+        return self._map(lambda c: c.scale(scalar))
+
+    def map_coeffs(self, fn):
+        """Apply a scalar map (such as q -> 1/q) to every coefficient."""
+        return self._map(lambda c: c.map_scalars(fn))
+
+    def truncate(self, cap):
+        if self._combined:
+            return self._collect(self.terms.items(), cap)
+        size_of = self._size
+        return self._new(self.basis, {k: c for k, c in self.terms.items()
+                                      if size_of(k) <= cap}, cap, self.ring)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coefficient(self, key):
+        c = self.terms.get(key)
+        return self._lift(self.ring.zero) if c is None else c
+
+    # -- basis change -----------------------------------------------------------
+    def convert(self, basis: str):
+        if basis == self.basis:
+            return self
+        if basis not in _BASES:
+            raise ValueError(f"cannot convert {self.basis} -> {basis}")
+        scalar = self.ring.from_fraction
+        return self._collect(((new, c.scale(scalar(x)))
+                              for key, c in self.terms.items()
+                              for new, x in self._rewrite(key, basis)),
+                             self.cap, basis)
+
+    # -- the exponential ----------------------------------------------------------
+    def exp(self):
+        """exp of a series with no empty-key term, in the power sum basis.
+
+        Solved size by size from n z_n = sum_k k L_k z_(n-k), where L_k and
+        z_n are the parts of key size k and n of the log and of the result.
+        Multiplying the size-n part by n is a derivation of the product and
+        of every truncation here, so this is the exponential in the
+        truncated ring.
+        """
+        log = self.convert("p")
+        ring, cap, size_of, key_mul = log.ring, log.cap, log._size, log._key_mul
+        weighted: dict[int, list] = {}
+        for key, c in log.terms.items():
+            k = size_of(key)
+            if k == 0:
+                raise NonNilpotentArgument("exponential needs a nilpotent argument")
+            weighted.setdefault(k, []).append((key, c.scale(ring.from_fraction(k))))
+        out = log.one(ring, cap)
+        parts = [dict(out.terms)]
+        for n in range(1, cap + 1):
+            acc = log._new("p", {}, cap, ring)
+            for k in range(1, n + 1):
+                for kl, cl in weighted.get(k, ()):
+                    for kz, cz in parts[n - k].items():
+                        acc._put(key_mul(kl, kz), cl * cz, cap - n)
+            inv_n = ring.from_fraction(Fraction(1, n))
+            parts.append({key: c.scale(inv_n) for key, c in acc.terms.items()})
+            out.terms.update(parts[n])
+        return out
+
+    # -- plumbing ----------------------------------------------------------------
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._require_like(other)
+        return self.terms == other.convert(self.basis).terms
+
+    def sorted_terms(self):
+        size_of = self._size
+        return sorted(self.terms.items(), key=lambda kv: (size_of(kv[0]), kv[0]))
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        sym = "s" if self.basis == "schur" else "p"
+        return " + ".join(f"({c})*{self._key_str(k, sym)}" for k, c in self.sorted_terms())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
 
 Key = tuple[tuple[str, int], ...]
 
 
-def _key_mul(k1: Key, k2: Key) -> Key:
+def _merge_keys(k1: Key, k2: Key) -> Key:
+    if not k2:
+        return k1
+    if not k1:
+        return k2
     d = dict(k1)
     for n, e in k2:
         d[n] = d.get(n, 0) + e
     return tuple(sorted(d.items()))
 
 
-def _key_pow(k: Key, p: int) -> Key:
-    return tuple((n, e * p) for n, e in k)
-
-
-class NovikovSeries:
+class NovikovSeries(TruncatedSeries):
     """Truncated series in named formal parameters with scalar coefficients.
 
     Terms are keyed by sorted tuples of (name, positive exponent) pairs; the
     empty key is the constant term.  A term is kept while its total degree
-    is at most cap (cap None means no truncation).
+    is at most cap; the default cap None means no truncation, held as
+    cap = math.inf.
     """
 
-    __slots__ = ("terms", "cap")
+    __slots__ = ()
+    _unit = ()
+    _key_mul = staticmethod(_merge_keys)
+    _lift = staticmethod(lambda scalar: scalar)
 
-    def __init__(self, terms: dict[Key, object], cap: int | None = None,
+    def __init__(self, terms: dict[Key, object], ring, cap: int | None = None,
                  clean: bool = False):
-        if not clean:
-            terms = {k: c for k, c in terms.items() if not c.is_zero()}
-            if cap is not None:
-                terms = {k: c for k, c in terms.items() if _deg(k) <= cap}
-        self.terms = terms
-        self.cap = cap
+        super().__init__("p", terms, inf if cap is None else cap, ring, clean)
+
+    @staticmethod
+    def _size(key: Key) -> int:
+        return sum([e for _, e in key])
 
     # -- constructors -------------------------------------------------------
     @classmethod
     def constant(cls, scalar, cap: int | None = None) -> "NovikovSeries":
-        if scalar.is_zero():
-            return cls({}, cap, clean=True)
-        return cls({(): scalar}, cap, clean=True)
+        return cls({(): scalar}, scalar.ring, cap)
 
     @classmethod
     def monomial(cls, exps: dict[str, int], scalar, cap: int | None = None) -> "NovikovSeries":
         key = tuple(sorted((n, e) for n, e in exps.items() if e))
         if any(e < 0 for _, e in key):
             raise ValueError("parameter exponents must be nonnegative")
-        return cls({key: scalar}, cap)
+        return cls({key: scalar}, scalar.ring, cap)
 
-    # -- helpers -------------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
+    # -- operations on the scalar coefficients -------------------------------
     def constant_term(self, ring):
         return self.terms.get((), ring.zero)
-
-    def _caps(self, other) -> int | None:
-        if self.cap is None:
-            return other.cap
-        if other.cap is None:
-            return self.cap
-        return min(self.cap, other.cap)
-
-    # -- arithmetic ----------------------------------------------------------
-    def __add__(self, other: "NovikovSeries") -> "NovikovSeries":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            if k in out:
-                v = out[k] + c
-                if v.is_zero():
-                    del out[k]
-                else:
-                    out[k] = v
-            else:
-                out[k] = c
-        cap = self._caps(other)
-        if cap is not None:
-            out = {k: c for k, c in out.items() if _deg(k) <= cap}
-        return NovikovSeries(out, cap, clean=True)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return NovikovSeries({k: -c for k, c in self.terms.items()},
-                             self.cap, clean=True)
-
-    def __mul__(self, other: "NovikovSeries") -> "NovikovSeries":
-        cap = self._caps(other)
-        out: dict[Key, object] = {}
-        for k1, c1 in self.terms.items():
-            d1 = _deg(k1)
-            for k2, c2 in other.terms.items():
-                if cap is not None and d1 + _deg(k2) > cap:
-                    continue
-                k = _key_mul(k1, k2)
-                v = c1 * c2
-                if k in out:
-                    v = out[k] + v
-                if v.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = v
-        return NovikovSeries(out, cap, clean=True)
-
-    def scale(self, scalar) -> "NovikovSeries":
-        if scalar.is_zero():
-            return NovikovSeries({}, self.cap, clean=True)
-        return NovikovSeries({k: c * scalar for k, c in self.terms.items()}, self.cap)
-
-    def truncate(self, cap: int | None) -> "NovikovSeries":
-        if cap is None:
-            return NovikovSeries(dict(self.terms), None, clean=True)
-        return NovikovSeries({k: c for k, c in self.terms.items() if _deg(k) <= cap},
-                             cap, clean=True)
 
     def inverse(self, ring) -> "NovikovSeries":
         """Multiplicative inverse; requires an invertible constant term."""
         c0 = self.terms.get(())
-        if c0 is None or c0.is_zero():
+        if c0 is None:
             raise ValueError("series has no constant term, cannot invert")
         c0inv = ring.one / c0
-        rest = NovikovSeries({k: c for k, c in self.terms.items() if k},
-                             self.cap, clean=True)
-        if rest.is_zero():
+        if len(self.terms) == 1:
             return NovikovSeries.constant(c0inv, self.cap)
-        if self.cap is None:
+        if self.cap == inf:
             raise ValueError("inverting a non-constant series needs a finite cap")
-        # Neumann series: 1/(c0 + r) = c0inv * sum_k (-r * c0inv)^k
-        base = rest.scale(-c0inv)
-        out = NovikovSeries.constant(ring.one, self.cap)
-        term = NovikovSeries.constant(ring.one, self.cap)
+        # Neumann series: 1/(c0 + r) = c0inv * sum_k b^k, b = 1 - (c0 + r) c0inv
+        out = term = self.one(self.ring, self.cap)
+        base = out - self.scale(c0inv)
         for _ in range(self.cap):
             term = term * base
             if term.is_zero():
@@ -791,49 +940,29 @@ class NovikovSeries:
 
     def adams(self, k: int) -> "NovikovSeries":
         """Scale every exponent by k and apply the scalar Adams operation."""
-        out = {_key_pow(key, k): c.adams(k) for key, c in self.terms.items()}
-        if self.cap is not None:
-            out = {key: c for key, c in out.items() if _deg(key) <= self.cap}
-        return NovikovSeries(out, self.cap, clean=True)
+        return self._collect(((tuple((n, e * k) for n, e in key), c.adams(k))
+                              for key, c in self.terms.items()), self.cap)
 
     def eval_q(self, t_value) -> "NovikovSeries":
         return NovikovSeries({k: c.eval_q(t_value) for k, c in self.terms.items()},
-                             self.cap, clean=True)
+                             NumericQ(t_value), self.cap)
 
     def map_scalars(self, fn) -> "NovikovSeries":
         """Apply a scalar-to-scalar map to every coefficient."""
-        return NovikovSeries({k: fn(c) for k, c in self.terms.items()}, self.cap)
-
-    # -- plumbing -------------------------------------------------------------
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (_deg(kv[0]), kv[0]))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NovikovSeries):
-            return NotImplemented
-        return self.terms == other.terms
+        return self._map(fn)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         parts = []
         for k, c in self.sorted_terms():
-            mono = "*".join(_vpow(n, e) for n, e in k)
             cs = str(c)
-            if mono:
-                if ("+" in cs or "/" in cs or (" - " in cs) or cs.startswith("-")):
+            if k and cs == "1":
+                cs = key_string(k)
+            elif k:
+                if "+" in cs or "/" in cs or " - " in cs or cs.startswith("-"):
                     cs = f"({cs})"
-                parts.append(f"{cs}*{mono}" if cs != "1" else mono)
-            else:
-                parts.append(cs)
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"NovikovSeries({self})"
-
-
-def _deg(key: Key) -> int:
-    return sum(e for _, e in key)
+                cs = f"{cs}*{key_string(k)}"
+            parts.append(cs)
+        return " + ".join(parts) or "0"
 
 
 def key_string(key: Key) -> str:

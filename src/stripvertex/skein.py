@@ -98,7 +98,7 @@ def _psi_impl(xi, cap, ring, form, inverse: bool) -> SymFunc:
 
 
 def _pieri_sum(f: SymFunc, lam) -> NovikovSeries:
-    out = NovikovSeries({}, clean=True)
+    out = NovikovSeries.constant(f.ring.zero)
     for mu, _ in remove_box(lam):
         out = out + f.coefficient(mu)
     return out
@@ -143,6 +143,8 @@ def solve_recurrence(cap: int, ring=SYMBOLIC, which: str = "forward",
     This is the uniqueness half: the recursion determines all coefficients,
     so the result must reproduce the closed form.
     """
+    if which not in ("forward", "inverse"):
+        raise ValueError("which must be 'forward' or 'inverse'")
     xi = formal(xi_name, ring)
     inverse = which == "inverse"
     terms = {(): NovikovSeries.constant(ring.one)}

@@ -1,11 +1,11 @@
 """Symmetric functions truncated by degree, over Novikov series coefficients.
 
-One truncated sparse series type, TruncatedSeries, holds all the series
-arithmetic: sums, products, scaling, truncation, the change between the
-Schur and power sum bases, and the exponential.  Its instances here are
 SymFunc (one alphabet, keys are partitions) and SymFunc2 (two alphabets,
-keys are pairs of partitions, truncated by combined degree); qdiff adds
-the one-variable QSeries.
+keys are pairs of partitions, truncated by combined degree) are instances
+of the one truncated-series core, scalars.TruncatedSeries, which holds all
+the series arithmetic: sums, products, scaling, truncation, the change
+between the Schur and power sum bases, and the exponential.  This module
+supplies their key hooks: sizes, products and basis rows of partitions.
 
 Basis changes go through the integer character table (power sums to
 Schurs and back), multiplication is concatenation in the power sum basis,
@@ -30,13 +30,7 @@ from .partitions import (
     transpose,
     z_factor,
 )
-from .scalars import SYMBOLIC, NovikovSeries
-
-_BASES = ("schur", "p")
-
-
-class NonNilpotentArgument(ValueError):
-    """Raised when an exponential is fed a series with an empty-key term."""
+from .scalars import SYMBOLIC, NovikovSeries, TruncatedSeries
 
 
 def _concat(mu: Partition, nu: Partition) -> Partition:
@@ -53,191 +47,6 @@ def _basis_row(lam: Partition, basis: str) -> list[tuple[Partition, Fraction]]:
                 if (x := character(mu, lam))]
     return [(mu, Fraction(x, z_factor(mu))) for mu in partitions_of(size(lam))
             if (x := character(lam, mu))]
-
-
-class TruncatedSeries:
-    """A sparse series in graded keys with NovikovSeries coefficients.
-
-    Subclasses supply the key hooks: _size (the grading, additive under
-    _key_mul), _key_mul (the product of two power sum keys), _unit (the
-    empty key), _key_str and _rewrite (one key in the other basis).  Terms
-    of key size above cap are dropped; with _combined set, a coefficient is
-    also truncated to Novikov degree cap - size(key).  Products are taken
-    in the "p" basis and returned in the basis of the left factor.
-    """
-
-    __slots__ = ("basis", "terms", "cap", "ring")
-    _combined = False
-
-    def __init__(self, basis: str, terms: dict, cap: int, ring, clean: bool = False):
-        if basis not in _BASES:
-            raise ValueError(f"unknown basis {basis!r}")
-        self.basis = basis
-        self.cap = cap
-        self.ring = ring
-        self.terms = terms if clean else {}
-        if not clean:
-            for key, c in terms.items():
-                self.add_term(key, c)
-
-    # -- constructors ---------------------------------------------------------
-    @classmethod
-    def _new(cls, basis: str, terms: dict, cap: int, ring):
-        out = object.__new__(cls)
-        out.basis, out.terms, out.cap, out.ring = basis, terms, cap, ring
-        return out
-
-    @classmethod
-    def zero(cls, ring, cap: int, basis: str = "p"):
-        return cls._new(basis, {}, cap, ring)
-
-    @classmethod
-    def one(cls, ring, cap: int, basis: str = "p"):
-        out = cls.zero(ring, cap, basis)
-        out.add_term(cls._unit, NovikovSeries.constant(ring.one))
-        return out
-
-    def _collect(self, pairs, cap: int | None = None, basis: str | None = None):
-        out = self._new(basis or self.basis, {}, self.cap if cap is None else cap,
-                        self.ring)
-        for key, c in pairs:
-            out.add_term(key, c)
-        return out
-
-    def add_term(self, key, series: NovikovSeries) -> None:
-        """Mutating accumulation used while assembling sums; truncates as it goes."""
-        room = self.cap - self._size(key)
-        if room < 0:
-            return
-        if self._combined:
-            series = series.truncate(room)
-        terms = self.terms
-        if key in terms:
-            series = terms[key] + series
-        if series.is_zero():
-            terms.pop(key, None)
-        else:
-            terms[key] = series
-
-    # -- ring structure --------------------------------------------------------
-    def _require_like(self, other) -> None:
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise ValueError("mixed coefficient rings")
-
-    def __add__(self, other):
-        self._require_like(other)
-        b = other.convert(self.basis)
-        if self.cap <= b.cap:
-            out = self._new(self.basis, dict(self.terms), self.cap, self.ring)
-        else:
-            out = self.truncate(b.cap)
-        for key, c in b.terms.items():
-            out.add_term(key, c)
-        return out
-
-    def __neg__(self):
-        return self._new(self.basis, {k: -c for k, c in self.terms.items()},
-                         self.cap, self.ring)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        """Product, computed in the power sum basis, returned in the left basis."""
-        self._require_like(other)
-        a = self.convert("p")
-        b = other.convert("p")
-        cap = min(a.cap, b.cap)
-        size_of, key_mul = self._size, self._key_mul
-        right = [(k, size_of(k), c) for k, c in b.terms.items()]
-        out = self._new("p", {}, cap, self.ring)
-        for k1, c1 in a.terms.items():
-            room = cap - size_of(k1)
-            for k2, s2, c2 in right:
-                if s2 <= room:
-                    out.add_term(key_mul(k1, k2), c1 * c2)
-        return out.convert(self.basis)
-
-    def scale(self, series: NovikovSeries):
-        return self._collect((k, c * series) for k, c in self.terms.items())
-
-    def scale_scalar(self, scalar):
-        return self._collect((k, c.scale(scalar)) for k, c in self.terms.items())
-
-    def map_coeffs(self, fn):
-        """Apply a scalar map (such as q -> 1/q) to every coefficient."""
-        return self._collect((k, c.map_scalars(fn)) for k, c in self.terms.items())
-
-    def truncate(self, cap: int):
-        return self._collect(self.terms.items(), cap)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, key) -> NovikovSeries:
-        c = self.terms.get(key)
-        return NovikovSeries({}, clean=True) if c is None else c
-
-    # -- basis change -----------------------------------------------------------
-    def convert(self, basis: str):
-        if basis == self.basis:
-            return self
-        if basis not in _BASES:
-            raise ValueError(f"cannot convert {self.basis} -> {basis}")
-        scalar = self.ring.from_fraction
-        return self._collect(((new, c.scale(scalar(x)))
-                              for key, c in self.terms.items()
-                              for new, x in self._rewrite(key, basis)), basis=basis)
-
-    # -- the exponential ----------------------------------------------------------
-    def exp(self):
-        """exp of a series with no empty-key term, in the power sum basis.
-
-        Solved size by size from n z_n = sum_k k L_k z_(n-k), where L_k and
-        z_n are the parts of key size k and n of the log and of the result.
-        Multiplying the size-n part by n is a derivation of the product and
-        of every truncation here, so this is the exponential in the
-        truncated ring.
-        """
-        log = self.convert("p")
-        ring, cap, size_of, key_mul = log.ring, log.cap, log._size, log._key_mul
-        weighted: dict[int, list] = {}
-        for key, c in log.terms.items():
-            k = size_of(key)
-            if k == 0:
-                raise NonNilpotentArgument("exponential needs a nilpotent argument")
-            weighted.setdefault(k, []).append((key, c.scale(ring.from_fraction(k))))
-        out = log.one(ring, cap)
-        parts = [dict(out.terms)]
-        for n in range(1, cap + 1):
-            acc = log._new("p", {}, cap, ring)
-            for k in range(1, n + 1):
-                for kl, cl in weighted.get(k, ()):
-                    for kz, cz in parts[n - k].items():
-                        acc.add_term(key_mul(kl, kz), cl * cz)
-            inv_n = ring.from_fraction(Fraction(1, n))
-            parts.append({key: c.scale(inv_n) for key, c in acc.terms.items()})
-            out.terms.update(parts[n])
-        return out
-
-    # -- plumbing ----------------------------------------------------------------
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.terms == other.convert(self.basis).terms
-
-    def sorted_terms(self):
-        size_of = self._size
-        return sorted(self.terms.items(), key=lambda kv: (size_of(kv[0]), kv[0]))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        sym = "s" if self.basis == "schur" else "p"
-        return " + ".join(f"({c})*{self._key_str(k, sym)}" for k, c in self.sorted_terms())
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self})"
 
 
 class SymFunc(TruncatedSeries):
@@ -270,8 +79,8 @@ def hall_pairing(f: SymFunc, g: SymFunc) -> NovikovSeries:
     """The Hall inner product, extended bilinearly over coefficient series."""
     a = f.convert("p")
     b = g.convert("p")
-    out = NovikovSeries({}, clean=True)
     ring = f.ring
+    out = NovikovSeries.constant(ring.zero)
     for mu, c in a.terms.items():
         d = b.terms.get(mu)
         if d is None:

@@ -235,8 +235,8 @@ def closed_form(strip: StripGeometry, cap: int, ring=SYMBOLIC) -> SymFunc2:
     for d in range(1, cap + 1):
         inv_d = ring.from_fraction(Fraction(1, d))
         disk = inv_d / ring.quantum_int(d)
-        row1 = NovikovSeries({}, clean=True)
-        row2 = NovikovSeries({}, clean=True)
+        row1 = NovikovSeries.constant(ring.zero)
+        row2 = NovikovSeries.constant(ring.zero)
         for k, vt in enumerate(word, 1):
             m1 = strip.q_interval(1, k, ring, d)
             row1 = row1 + m1.scale(disk if vt == "A" else -disk)
@@ -265,7 +265,7 @@ def one_brane_closed_form(strip: StripGeometry, cap: int, ring=SYMBOLIC) -> SymF
     terms = {}
     for d in range(1, cap + 1):
         disk = ring.from_fraction(Fraction(1, d)) / ring.quantum_int(d)
-        row = NovikovSeries({}, clean=True)
+        row = NovikovSeries.constant(ring.zero)
         for k, vt in enumerate(word, 1):
             mono = strip.q_interval(1, k, ring, d)
             row = row + mono.scale(disk if vt == "A" else -disk)

@@ -63,6 +63,11 @@ def test_invalid_inputs_exit_two(tmp_path, capsys, monkeypatch):
     bad_cap = write_spec(tmp_path, "e.json", types="AB", command="vertex",
                          truncation=-1)
     assert run_cli(capsys, "--spec", bad_cap)[0] == 2
+    # an output file that cannot be written is a job error, not a failed check
+    status, out = run_cli(capsys, "--command", "verify-dilog", "--cap", "2",
+                          "--out", str(tmp_path / "missing" / "x.json"))
+    assert status == 2
+    assert out.err.startswith("error: cannot write output file:")
     # a cap above the ceiling must be refused before any work starts
     def refuse(job):
         raise AssertionError(f"{job['command']} ran with truncation {job['cap']}")

@@ -56,6 +56,15 @@ def test_quantum_integer_basic():
     assert quantum_integer(-2) == -quantum_integer(2)
 
 
+def test_printing_divides_content_and_fixes_sign():
+    # the rational content of den is printed in the numerator, over a
+    # primitive denominator whose leading coefficient is positive
+    assert str(frac(1, 2)) == "1/2"
+    assert str(frac(1, 2) / (R.one - t(2))) == "(-1/2)/(-1 + t^2)"
+    assert str(frac(-2, 3) * a(1) / (frac(3) - frac(3) * t(1))) == "(2/9*a)/(-1 + t)"
+    assert str(frac(3, 4) * t(-1) + frac(1, 6) * a(2)) == "3/4*t^-1 + 1/6*a^2"
+
+
 def test_quantum_ratio_is_laurent():
     # {2}/{1} = t + 1/t by polynomial long division
     got = _div_checked(quantum_integer(2), quantum_integer(1))
@@ -195,7 +204,7 @@ def test_truncation_consistency():
     rng = random.Random(99)
 
     def rand_series(cap):
-        s = NovikovSeries({}, cap)
+        s = NovikovSeries({}, R, cap)
         for _ in range(6):
             e1, e2 = rng.randint(0, 3), rng.randint(0, 3)
             s = s + NovikovSeries.monomial({"Q1": e1, "Q2": e2}, random_scalar(rng, with_a=False), cap)

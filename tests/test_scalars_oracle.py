@@ -9,6 +9,9 @@ result of the same operation.
 Denominators are products of cyclotomic polynomials Phi_n(t), as hook and
 quantum-integer products are, and of the non-cyclotomic content
 polynomial 2 + q + q^2 + q^-1 (q = t^2) that solve_recurrence divides by.
+The principal specializations of symfunc are checked against the same
+field: h_k at q^(nu + rho) from its generating product, and skew Schur
+values from sympy's determinant of the Jacobi-Trudi matrix.
 """
 import random
 from fractions import Fraction
@@ -16,9 +19,12 @@ from math import gcd
 
 import pytest
 
+from stripvertex.partitions import enumerate_partitions
 from stripvertex.scalars import SYMBOLIC, Scalar
+from stripvertex.symfunc import principal_spec_h, principal_spec_skew
 
 sympy = pytest.importorskip("sympy")
+from sympy.matrices.utilities import dotprodsimp  # noqa: E402
 
 R = SYMBOLIC
 T, A = sympy.symbols("t a")
@@ -218,3 +224,65 @@ def test_rational_constants_print_as_fractions():
     assert str(half) == "1/2"
     x = (R.t_power(1) * R.from_fraction(Fraction(-3, 4))) / (R.one + R.t_power(2))
     assert str(x) == "(-3/4*t)/(1 + t^2)"
+
+
+# --- principal specializations -------------------------------------------------
+
+
+def _h_rho(j):
+    """h_j at x_i = t^(1-2i): t^(-j) / prod_{m<=j} (1 - t^(-2m))."""
+    if j < 0:
+        return K(0)
+    out = K(T) ** -j
+    for m in range(1, j + 1):
+        out /= 1 - K(T) ** (-2 * m)
+    return out
+
+
+def _h_nu(k, nu):
+    """h_k at x_i = t^(2 nu_i + 1 - 2i), from its generating product in u.
+
+    prod_i 1/(1 - x_i u) is the nu = () product times the finite correction
+    prod_{i <= len(nu)} (1 - t^(1-2i) u) / (1 - t^(2 nu_i + 1 - 2i) u), whose
+    u-expansion is folded against h_j at nu = ().
+    """
+    if k < 0:
+        return K(0)
+    u = sympy.Symbol("u")
+    corr = sympy.Integer(1)
+    for i, p in enumerate(nu, 1):
+        geo = sum((T ** (2 * p + 1 - 2 * i) * u) ** j for j in range(k + 1))
+        corr = sympy.expand(corr * (1 - T ** (1 - 2 * i) * u) * geo)
+    r = sympy.Poly(corr, u)
+    return sum((K(r.coeff_monomial(u ** m)) * _h_rho(k - m) for m in range(k + 1)),
+               K(0))
+
+
+def test_principal_spec_h_matches_generating_product():
+    for nu in enumerate_partitions(3):
+        for k in range(5):
+            assert_same(principal_spec_h(k, nu), _h_nu(k, nu))
+
+
+def test_principal_spec_skew_matches_sympy_determinant():
+    h = {}
+
+    def entry(j, nu):
+        if (j, nu) not in h:
+            h[(j, nu)] = _h_nu(j, nu).as_expr()
+        return h[(j, nu)]
+
+    for lam in enumerate_partitions(4):
+        n = len(lam)
+        # mu outside lam included: the determinant is then zero
+        for mu in enumerate_partitions(2):
+            if len(mu) > n:
+                continue
+            mup = mu + (0,) * (n - len(mu))
+            for nu in ((), (1,), (2, 1)):
+                mat = sympy.Matrix(n, n, lambda i, j: entry(int(lam[i] - mup[j] - i + j), nu))
+                # cofactor expansion, no division, unlike the package's
+                # elimination; the field reduces the sum once at the end
+                with dotprodsimp(False):
+                    want = K(mat.det(method="laplace")) if n else K(1)
+                assert_same(principal_spec_skew(lam, mu, nu), want)

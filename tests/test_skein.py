@@ -114,6 +114,14 @@ def test_recurrence_determines_coefficients():
     assert solve_recurrence(4, which="inverse") == psi_inverse(xi, 4)
 
 
+def test_recurrence_rejects_unknown_direction():
+    for bad in ("inverted", "Forward", None):
+        with pytest.raises(ValueError):
+            solve_recurrence(2, which=bad)
+        with pytest.raises(ValueError):
+            verify_dilog_recurrence(2, which=bad)
+
+
 def test_solution_element_conifold():
     Q = formal("Q1")
     one = NovikovSeries.constant(R.one)

@@ -13,9 +13,8 @@ import pytest
 
 from stripvertex import partitions as pt
 from stripvertex.qdiff import QSeries
-from stripvertex.scalars import SYMBOLIC, NovikovSeries, NumericQ
+from stripvertex.scalars import SYMBOLIC, NonNilpotentArgument, NovikovSeries, NumericQ
 from stripvertex.symfunc import (
-    NonNilpotentArgument,
     SymFunc,
     SymFunc2,
     contract_middle,
@@ -295,13 +294,21 @@ def test_exp_rejects_an_empty_key_term(cls):
         log.exp()
 
 
-@SERIES_KINDS
+@pytest.mark.parametrize("cls", [*EXP_KEYS, NovikovSeries], ids=lambda c: c.__name__)
 def test_series_reject_mixed_rings(cls):
-    sym, num = cls.one(R, 2), cls.one(NumericQ(Fraction(3, 2)), 2)
+    num_ring = NumericQ(Fraction(3, 2))
+    if cls is NovikovSeries:
+        # disjoint keys, so that no scalar operation meets the other lane first
+        sym = NovikovSeries.monomial({"Q1": 1}, R.one)
+        num = NovikovSeries.monomial({"Q2": 1}, num_ring.one)
+    else:
+        sym, num = cls.one(R, 2), cls.one(num_ring, 2)
     with pytest.raises(ValueError):
         sym + num
     with pytest.raises(ValueError):
         sym * num
+    with pytest.raises(ValueError):
+        sym == num
 
 
 # --- principal specializations -------------------------------------------------------
