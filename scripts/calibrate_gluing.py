@@ -8,7 +8,7 @@ when the last vertex has type B.  Exactly one assignment makes the
 normalized chain sum reproduce the plethystic product form; this script
 sweeps the whole space and prints the survivors.
 
-Run from the repository root:  python3 scripts/calibrate_gluing.py
+Run from the repository root:  PYTHONPATH=src python3 scripts/calibrate_gluing.py
 """
 import itertools
 import sys
@@ -31,16 +31,16 @@ def matches(word, cap, ring, rules):
     return lhs == closed_form(strip, cap, ring)
 
 
-def main():
+def search():
+    """Every rule table that passes both rounds of words; one is expected."""
     ring = NumericQ.from_q(Fraction(9, 4))
-    survivors = []
-    t0 = time.time()
     combos = itertools.product(
         ("left_first", "right_first"),
         (1, -1), (1, -1), (1, -1),          # edge sign per unit for AB, BA, BB
         (-1, 0, 1), (-1, 0, 1), (-1, 0, 1),  # kappa power for AB, BA, BB
         (1, -1),                             # odd-size sign at a type-B end
     )
+    survivors = []
     for b_slots, sab, sba, sbb, gab, gba, gbb, endb in combos:
         rules = {
             "edge_sign": {"AA": 1, "AB": sab, "BA": sba, "BB": sbb},
@@ -50,12 +50,13 @@ def main():
         }
         if all(matches(w, cap, ring, rules) for w, cap in WORDS_FAST):
             survivors.append(rules)
-    print(f"fast screen: {len(survivors)} candidate(s) "
-          f"({time.time() - t0:.1f}s)")
-    final = []
-    for rules in survivors:
-        if all(matches(w, cap, ring, rules) for w, cap in WORDS_SLOW):
-            final.append(rules)
+    return [rules for rules in survivors
+            if all(matches(w, cap, ring, rules) for w, cap in WORDS_SLOW)]
+
+
+def main():
+    t0 = time.time()
+    final = search()
     for rules in final:
         print("survivor:", rules)
     print(f"total {time.time() - t0:.1f}s")

@@ -4,7 +4,8 @@ Collapsing every power sum p_d to x^d turns a skein solution into a
 q-series z(x), a QSeries: the one-variable instance of the truncated
 series core scalars.TruncatedSeries.  The quantum curve of a strip acts on
 such series through the shift x -> qx, and z(x) is annihilated by it.
-This module builds the reduction, the shift, and the residual test; the
+This module builds the reduction, the shift, z(x) from its logarithm (the
+strip's negated disk row, in either q lane) and the residual test; the
 strip arguments may be StripGeometry objects or their type words.
 """
 
@@ -12,7 +13,7 @@ import operator
 
 from .partitions import size
 from .scalars import SYMBOLIC, NovikovSeries, TruncatedSeries
-from .skein import psi, psi_inverse
+from .skein import disk_weight, psi, psi_inverse
 from .symfunc import SymFunc
 from .vertex import StripGeometry, mirror_and_quantum, strip_params
 
@@ -86,18 +87,15 @@ def _as_strip(strip) -> StripGeometry:
 def log_reduce(strip, cap: int, ring=SYMBOLIC) -> QSeries:
     """z(x) from its logarithm -sum_d (sum_i a_i^d - sum_j b_j^d) x^d / (d{d}).
 
-    Must agree with u1_reduce of the dilogarithm product built from the
-    same interval weights; the exponential is the shared series one.
+    The x^d coefficient of the logarithm is the strip's first-boundary disk
+    row, negated; nothing in it needs symbolic q, so both lanes work.  Must
+    agree with u1_reduce of the dilogarithm product built from the same
+    interval weights; the exponential is the shared series one.
     """
-    alphas, betas = strip_params(_as_strip(strip), ring)
+    strip = _as_strip(strip)
     log = QSeries.zero(ring, cap)
     for d in range(1, cap + 1):
-        tot = NovikovSeries.constant(ring.zero)
-        for al in alphas:
-            tot = tot - al.adams(d)
-        for be in betas:
-            tot = tot + be.adams(d)
-        log.add_term(d, tot.scale(ring.one / (ring.from_fraction(d) * ring.quantum_int(d))))
+        log.add_term(d, strip.disk_row(d, -disk_weight(d, ring)))
     return log.exp()
 
 

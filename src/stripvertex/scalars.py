@@ -148,7 +148,8 @@ def _divexact(p: list[int], g: list[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# sparse integer polynomials: den as {t exp: c}, num as {(t exp, a exp): c}
+# sparse polynomials: den as {t exp: c}, num as {(t exp, a exp): c}, and
+# the numeric lane's {a exp: rational c}; the kernels take any coefficients
 
 def _poly_mul(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
     out: dict[int, int] = {}
@@ -506,14 +507,7 @@ class LaurentScalar(_ScalarOps):
             ocoeffs = other.coeffs
         except AttributeError:
             raise _lane_error(self, other) from None
-        out = dict(self.coeffs)
-        for e, c in ocoeffs.items():
-            v = out.get(e, _ZERO) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return LaurentScalar(out, self.ring, clean=True)
+        return LaurentScalar(_num_add(self.coeffs, ocoeffs), self.ring, clean=True)
 
     def __neg__(self):
         return LaurentScalar({e: -c for e, c in self.coeffs.items()}, self.ring, clean=True)
@@ -523,16 +517,7 @@ class LaurentScalar(_ScalarOps):
             ocoeffs = other.coeffs
         except AttributeError:
             raise _lane_error(self, other) from None
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in ocoeffs.items():
-                k = e1 + e2
-                v = out.get(k, _ZERO) + c1 * c2
-                if v:
-                    out[k] = v
-                else:
-                    out.pop(k, None)
-        return LaurentScalar(out, self.ring, clean=True)
+        return LaurentScalar(_poly_mul(self.coeffs, ocoeffs), self.ring, clean=True)
 
     def __truediv__(self, other: "LaurentScalar") -> "LaurentScalar":
         try:
@@ -566,13 +551,7 @@ class LaurentScalar(_ScalarOps):
         return hash(tuple(sorted(self.coeffs.items())))
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = [_term_str(self.coeffs[e], _vpow("a", e) if e else "") for e in sorted(self.coeffs)]
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return _num_str({(0, e): c for e, c in self.coeffs.items()})
 
     def __repr__(self):
         return f"LaurentScalar({self})"
@@ -789,6 +768,8 @@ class TruncatedSeries:
         return self._map(lambda c: c.map_scalars(fn))
 
     def truncate(self, cap):
+        """Drop the terms above cap; a truncation never raises the cap."""
+        cap = min(cap, self.cap)
         if self._combined:
             return self._collect(self.terms.items(), cap)
         size_of = self._size
@@ -915,15 +896,15 @@ class NovikovSeries(TruncatedSeries):
         return cls({key: scalar}, scalar.ring, cap)
 
     # -- operations on the scalar coefficients -------------------------------
-    def constant_term(self, ring):
-        return self.terms.get((), ring.zero)
+    def constant_term(self):
+        return self.terms.get((), self.ring.zero)
 
-    def inverse(self, ring) -> "NovikovSeries":
+    def inverse(self) -> "NovikovSeries":
         """Multiplicative inverse; requires an invertible constant term."""
         c0 = self.terms.get(())
         if c0 is None:
             raise ValueError("series has no constant term, cannot invert")
-        c0inv = ring.one / c0
+        c0inv = self.ring.one / c0
         if len(self.terms) == 1:
             return NovikovSeries.constant(c0inv, self.cap)
         if self.cap == inf:

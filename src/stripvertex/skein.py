@@ -5,7 +5,9 @@ functions, the basis element labelled by a partition pairing with the Schur
 function.  The central element Psi[xi] is characterized by an eigenvalue
 recursion under encircling by a meridian; both its closed product form and
 its plethystic exponential form are implemented, together with machine
-checks of the recursion they satisfy.
+checks of the recursion they satisfy.  Both forms index one table of the
+powers of xi.  The exponential form's multiple-cover weight 1/(d {d}),
+disk_weight, is also the weight of every disk tower in vertex and qdiff.
 """
 from __future__ import annotations
 
@@ -49,17 +51,22 @@ def meridian_eigenvalue(lam, orientation: int = +1, ring=SYMBOLIC):
     raise ValueError("orientation must be +1 or -1")
 
 
-def _coeff_product(lam, xi: NovikovSeries, ring, inverse: bool) -> NovikovSeries:
-    n = size(lam)
-    sign = -1 if (n % 2 and not inverse) else 1
-    tpow = kappa(lam) // 2 if inverse else -kappa(lam) // 2
-    c = ring.monomial(Fraction(sign), tpow)
+def disk_weight(d: int, ring=SYMBOLIC):
+    """The multiple-cover weight 1/(d {d}) of a degree-d disk.
+
+    It is the coefficient of -xi^d p_d in log Psi[xi], and every disk
+    tower of the strip closed forms carries it.
+    """
+    return ring.from_fraction(Fraction(1, d)) / ring.quantum_int(d)
+
+
+def _hook_content(lam, ring, inverse: bool):
+    # the coefficient of xi^|lam| s_lam in Psi[xi], or in its inverse
+    sign = -1 if (size(lam) % 2 and not inverse) else 1
+    c = ring.monomial(sign, kappa(lam) // 2 if inverse else -kappa(lam) // 2)
     for h in hooks(lam):
         c = c / ring.quantum_int(h)
-    out = NovikovSeries.constant(ring.one)
-    for _ in range(n):
-        out = out * xi
-    return out.scale(c)
+    return c
 
 
 def psi(xi: NovikovSeries, cap: int, ring=SYMBOLIC, form: str = "product") -> SymFunc:
@@ -78,23 +85,24 @@ def psi_inverse(xi: NovikovSeries, cap: int, ring=SYMBOLIC, form: str = "product
 
 
 def _psi_impl(xi, cap, ring, form, inverse: bool) -> SymFunc:
+    if form not in ("product", "exponential"):
+        raise ValueError(f"unknown form {form!r}")
+    xpow = [NovikovSeries.constant(ring.one)]
+    for _ in range(cap):
+        xpow.append(xpow[-1] * xi)
     if form == "product":
         terms = {}
         for lam in enumerate_partitions(cap):
-            c = _coeff_product(lam, xi, ring, inverse)
+            c = xpow[size(lam)].scale(_hook_content(lam, ring, inverse))
             if not c.is_zero():
                 terms[lam] = c
         return SymFunc("schur", terms, cap, ring, clean=True)
-    if form == "exponential":
-        sign = 1 if inverse else -1
-        log = SymFunc.zero(ring, cap)
-        xpow = NovikovSeries.constant(ring.one)
-        for d in range(1, cap + 1):
-            xpow = xpow * xi
-            c = ring.from_fraction(Fraction(sign, d)) / ring.quantum_int(d)
-            log = log + SymFunc.power_sum((d,), ring, cap).scale(xpow.scale(c))
-        return sym_exp(log).convert("schur")
-    raise ValueError(f"unknown form {form!r}")
+    log = SymFunc.zero(ring, cap)
+    for d in range(1, cap + 1):
+        w = disk_weight(d, ring)
+        c = xpow[d].scale(w if inverse else -w)
+        log = log + SymFunc.power_sum((d,), ring, cap).scale(c)
+    return sym_exp(log).convert("schur")
 
 
 def _pieri_sum(f: SymFunc, lam) -> NovikovSeries:

@@ -168,19 +168,12 @@ def principal_spec_h(k: int, nu: Partition, ring=SYMBOLIC):
         # r-series of prod_i (1 - t^(-2i+1) u) / (1 - t^(2 nu_i - 2i + 1) u) up to u^k
         r = [ring.one] + [ring.zero] * k
         for i, p in enumerate(nu, 1):
+            # divide by (1 - geo u), then multiply by (1 - head u)
             geo = ring.t_power(2 * p - 2 * i + 1)
-            new = [ring.zero] * (k + 1)
-            acc = ring.one
-            for m in range(k + 1):
-                # multiply r by the geometric series of geo
-                val = ring.zero
-                g = ring.one
-                for j in range(m, -1, -1):
-                    val = val + r[j] * g
-                    g = g * geo
-                new[m] = val
+            for m in range(1, k + 1):
+                r[m] = r[m] + geo * r[m - 1]
             head = ring.t_power(-2 * i + 1)
-            r = [new[0]] + [new[m] - head * new[m - 1] for m in range(1, k + 1)]
+            r = [r[0]] + [r[m] - head * r[m - 1] for m in range(1, k + 1)]
         out = ring.zero
         for m in range(k + 1):
             if not r[m].is_zero():

@@ -5,7 +5,10 @@ neighbouring vertices joined by an edge carrying one parameter Q_k and the
 two outermost edges carrying boundary partitions.  The chain sum is a series
 whose coefficients are polynomials in the Q's; the same series also has a
 product form built from plethystic exponentials, and comparing the two is
-the main machine check of this module.
+the main machine check of this module.  The product forms take their disk
+weight from skein.disk_weight and their first-boundary disk row from
+StripGeometry.disk_row.  The one-vertex series with both boundaries (the
+two-leg vertex) is the strip "A" with its boundaries exchanged.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ from .partitions import (
     transpose,
 )
 from .scalars import SYMBOLIC, NovikovSeries
+from .skein import disk_weight, solution_element
 from .symfunc import SymFunc, SymFunc2, principal_spec_skew, sym_exp
 
 
@@ -61,6 +65,18 @@ class StripGeometry:
             raise ValueError("vertex index out of range")
         exps = {f"Q{l}": power for l in range(i, j)}
         return NovikovSeries.monomial(exps, ring.one)
+
+    def disk_row(self, d: int, weight) -> NovikovSeries:
+        """sum_k +-Q_{1,k}^d times weight, + at type-A vertices, - at type-B.
+
+        With the disk weight 1/(d {d}) this is the degree-d disk tower
+        against the first boundary.
+        """
+        ring, neg = weight.ring, -weight
+        row = NovikovSeries.constant(ring.zero)
+        for k, vt in enumerate(self.types, 1):
+            row = row + self.q_interval(1, k, ring, d).scale(weight if vt == "A" else neg)
+        return row
 
 
 def strip_params(strip: StripGeometry, ring=SYMBOLIC):
@@ -204,9 +220,9 @@ def glue_strip(strip: StripGeometry, cap: int, ring=SYMBOLIC,
 def z_open(z: SymFunc2) -> SymFunc2:
     """Quotient by the empty-boundary part, so the constant term becomes 1."""
     den = z.coefficient(((), ()))
-    if den.constant_term(z.ring).is_zero():
+    if den.constant_term().is_zero():
         raise NonUnitClosedSector("empty-boundary series has no constant term")
-    return z.scale(den.truncate(z.cap).inverse(z.ring))
+    return z.scale(den.truncate(z.cap).inverse())
 
 
 # ---------------------------------------------------------------------------
@@ -233,24 +249,16 @@ def closed_form(strip: StripGeometry, cap: int, ring=SYMBOLIC) -> SymFunc2:
     log = SymFunc2.zero(ring, cap, "p")
     last = word[-1]
     for d in range(1, cap + 1):
-        inv_d = ring.from_fraction(Fraction(1, d))
-        disk = inv_d / ring.quantum_int(d)
-        row1 = NovikovSeries.constant(ring.zero)
+        disk = disk_weight(d, ring)
+        log.add_term(((d,), ()), strip.disk_row(d, disk))
         row2 = NovikovSeries.constant(ring.zero)
         for k, vt in enumerate(word, 1):
-            m1 = strip.q_interval(1, k, ring, d)
-            row1 = row1 + m1.scale(disk if vt == "A" else -disk)
             m2 = strip.q_interval(k, n, ring, d)
-            sgn = _disk_sign_second(vt, last, d)
-            row2 = row2 + m2.scale(disk if sgn > 0 else -disk)
-        log.add_term(((d,), ()), row1)
+            row2 = row2 + m2.scale(disk if _disk_sign_second(vt, last, d) > 0 else -disk)
         log.add_term(((), (d,)), row2)
-        annulus = strip.q_interval(1, n, ring, d)
-        if last == "A":
-            ann = inv_d if d % 2 else -inv_d
-        else:
-            ann = -inv_d
-        log.add_term(((d,), (d,)), annulus.scale(ann))
+        inv_d = ring.from_fraction(Fraction(1, d))
+        ann = inv_d if last == "A" and d % 2 else -inv_d
+        log.add_term(((d,), (d,)), strip.q_interval(1, n, ring, d).scale(ann))
     return log.exp().convert("schur")
 
 
@@ -261,52 +269,36 @@ def one_brane_closed_form(strip: StripGeometry, cap: int, ring=SYMBOLIC) -> SymF
     without combined-degree truncation: coefficients are exact polynomials
     in the Q's for every |lam| <= cap.
     """
-    word = strip.types
-    terms = {}
-    for d in range(1, cap + 1):
-        disk = ring.from_fraction(Fraction(1, d)) / ring.quantum_int(d)
-        row = NovikovSeries.constant(ring.zero)
-        for k, vt in enumerate(word, 1):
-            mono = strip.q_interval(1, k, ring, d)
-            row = row + mono.scale(disk if vt == "A" else -disk)
-        if not row.is_zero():
-            terms[(d,)] = row
+    terms = {(d,): strip.disk_row(d, disk_weight(d, ring)) for d in range(1, cap + 1)}
     return sym_exp(SymFunc("p", terms, cap, ring, clean=True)).convert("schur")
 
 
 # ---------------------------------------------------------------------------
-# the one-vertex series with both boundaries
+# the one-vertex series with both boundaries: the strip A, slots swapped
+
+def _swap_slots(z: SymFunc2) -> SymFunc2:
+    terms = {(l2, l1): c for (l1, l2), c in z.terms.items()}
+    return SymFunc2(z.basis, terms, z.cap, z.ring, clean=True)
+
 
 def two_leg_vertex_series(cap: int, ring=SYMBOLIC) -> SymFunc2:
     """Raw framed vertex values summed against both boundary alphabets.
 
     Framing (-1, 0) on the two occupied slots, empty leg; the coefficient
-    of s_{m1} x s_{m2} is the framed vertex value itself.
+    of s_{m1} x s_{m2} is the framed vertex value itself.  This is the
+    glued one-vertex strip A with its two boundaries exchanged.
     """
-    out = SymFunc2.zero(ring, cap, "schur")
-    for m1 in enumerate_partitions(cap):
-        for m2 in enumerate_partitions(cap - size(m1)):
-            val = framed_vertex(m1, m2, (), -1, 0, 0, ring)
-            out.add_term((m1, m2), NovikovSeries.constant(val))
-    return out
+    return _swap_slots(glue_strip(StripGeometry("A"), cap, ring))
 
 
 def two_leg_product_form(cap: int, ring=SYMBOLIC) -> SymFunc2:
     """The matching triple product of plethystic exponentials.
 
     Alternating disk tower on the first alphabet, plain disk tower on the
-    second, alternating annulus joining them.
+    second, alternating annulus joining them: the closed form of the strip
+    A with its two boundaries exchanged.
     """
-    log = SymFunc2.zero(ring, cap, "p")
-    for d in range(1, cap + 1):
-        inv_d = ring.from_fraction(Fraction(1, d))
-        disk = inv_d / ring.quantum_int(d)
-        alt = disk if d % 2 else -disk
-        log.add_term(((d,), ()), NovikovSeries.constant(alt))
-        log.add_term(((), (d,)), NovikovSeries.constant(disk))
-        ann = inv_d if d % 2 else -inv_d
-        log.add_term(((d,), (d,)), NovikovSeries.constant(ann))
-    return log.exp().convert("schur")
+    return _swap_slots(closed_form(StripGeometry("A"), cap, ring))
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +377,6 @@ def verify_one_brane_match(types: str, cap: int, ring=SYMBOLIC) -> dict:
     The recursion solution built from the strip's interval monomials agrees
     with the disk-only closed form after inverting q in every coefficient.
     """
-    from .skein import solution_element
-
     strip = StripGeometry(types)
     lhs = one_brane_closed_form(strip, cap, ring)
     alphas, betas = strip_params(strip, ring)

@@ -98,11 +98,12 @@ def test_log_reduce_degree_two_closed_form():
 
 
 def test_log_reduce_matches_reduced_solution():
-    for word in ("A", "AB", "ABA", "ABB", "ABBA"):
-        strip = StripGeometry(word)
-        alphas, betas = strip_params(strip)
-        sol = u1_reduce(solution_element(alphas, betas, 6))
-        assert log_reduce(strip, 6) == sol, word
+    for ring in (R, NumericQ.from_q(Fraction(9, 4))):
+        for word in ("A", "AB", "ABA", "ABB", "ABBA"):
+            strip = StripGeometry(word)
+            alphas, betas = strip_params(strip, ring)
+            sol = u1_reduce(solution_element(alphas, betas, 6, ring))
+            assert log_reduce(strip, 6, ring) == sol, (ring, word)
 
 
 def test_degree_one_cancellation_by_hand():

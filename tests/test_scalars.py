@@ -220,10 +220,13 @@ def test_truncation_consistency():
 
 def test_series_inverse():
     s = NovikovSeries.constant(R.one, 4) + Q("Q1", 4).scale(-quantum_integer(1))
-    inv = s.inverse(R)
+    inv = s.inverse()
     assert (s * inv) == NovikovSeries.constant(R.one, 4)
     with pytest.raises(ValueError):
-        Q("Q1", 3).inverse(R)
+        Q("Q1", 3).inverse()
+    # the constant term is read in the series' own ring
+    num = NovikovSeries.monomial({"Q1": 1}, NumericQ(Fraction(3, 2)).one)
+    assert s.constant_term() == R.one and num.constant_term() == num.ring.zero
 
 
 def test_series_adams():

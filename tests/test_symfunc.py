@@ -311,6 +311,18 @@ def test_series_reject_mixed_rings(cls):
         sym == num
 
 
+@pytest.mark.parametrize("cls", [SymFunc, SymFunc2], ids=lambda c: c.__name__)
+def test_truncation_never_raises_a_coefficient_cap(cls):
+    # a coefficient known only to Q-degree 1 keeps that cap inside a series
+    # with room for more, so its square does not invent a Q^2 term
+    one, q = NovikovSeries.constant(R.one, 1), NovikovSeries.monomial({"Q": 1}, R.one, 1)
+    assert (one + q).truncate(4).cap == 1
+    f = cls.one(R, 4).scale(one + q)
+    got = (f * f).coefficient(cls._unit)
+    assert got == one + q.scale(R.from_fraction(2))
+    assert got.cap == 1
+
+
 # --- principal specializations -------------------------------------------------------
 
 def q_int(n):
