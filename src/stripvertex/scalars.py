@@ -20,9 +20,11 @@ integer evaluation past the roots of den proves that first, without the
 remainder sequence.  Printing divides out the content of den, so a scalar
 prints as rational coefficients over a primitive denominator.
 
-A numeric ring pins t to a rational value while a stays formal; the same
-operation names apply, which lets the higher layers run unchanged in
-either mode.
+A numeric ring pins t to a rational value while a stays formal.  Its
+scalars, LaurentScalar, are this same normal form with t pinned: every t
+exponent is 0 and den is one positive integer, so the two lanes share one
+arithmetic and the higher layers run unchanged in either mode.  Scalars of
+different rings do not mix: +, -, *, / and == between them raise TypeError.
 
 The module also holds the one truncated-series core, TruncatedSeries:
 sums, products, truncation and equality for every series kind of the
@@ -37,10 +39,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, inf, isqrt, lcm
-
-# coefficients of the numeric lane
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # the denominator of every symbolic scalar with an integer Laurent numerator
 _DEN_ONE = {0: 1}
@@ -148,8 +146,7 @@ def _divexact(p: list[int], g: list[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# sparse polynomials: den as {t exp: c}, num as {(t exp, a exp): c}, and
-# the numeric lane's {a exp: rational c}; the kernels take any coefficients
+# sparse polynomials: den as {t exp: c}, num as {(t exp, a exp): c}
 
 def _poly_mul(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
     out: dict[int, int] = {}
@@ -190,38 +187,32 @@ def _num_add(n1, n2):
 
 
 def _clean_input(num: dict, den: dict) -> tuple[dict, dict]:
-    # drop zero terms, then scale num and den by the lcm of the denominators
-    # of their coefficients, so that a caller may pass ints or Fractions
+    # a Scalar built by hand: drop zero terms, scale num and den by the lcm of
+    # the denominators of their coefficients (a caller may pass ints or
+    # Fractions) and move the powers of t out of den
     num = {k: c for k, c in num.items() if c}
     den = {e: c for e, c in den.items() if c}
-    m = 1
-    for c in (*num.values(), *den.values()):
-        m = lcm(m, Fraction(c).denominator)
-    return ({k: int(c * m) for k, c in num.items()},
-            {e: int(c * m) for e, c in den.items()})
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    m = lcm(*(Fraction(c).denominator for c in (*num.values(), *den.values())))
+    s = min(den)
+    return ({(te - s, ae): int(c * m) for (te, ae), c in num.items()},
+            {e - s: int(c * m) for e, c in den.items()})
 
 
 def _reduce(num: dict[tuple[int, int], int],
             den: dict[int, int]):
     """Bring num/den to the canonical form described in the module docstring.
 
-    The arithmetic passes nonzero int coefficients; anything else (zero
-    terms, Fraction coefficients from a caller building a Scalar by hand)
-    is cleaned once on entry.
+    The input is what the arithmetic produces: nonzero int coefficients and
+    min(den) == 0 (a Scalar built by hand passes _clean_input first).  A
+    one-term den, which every numeric value has, reduces by its integer
+    content alone; the numeric lane is this same form with t pinned.
     """
-    if (0 in num.values() or 0 in den.values()
-            or {*map(type, num.values()), *map(type, den.values())} != {int}):
-        num, den = _clean_input(num, den)
-    if not den:
-        raise ZeroDivisionError("zero denominator")
     if not num:
-        return {}, {0: 1}
-    m = min(den)
-    if m:
-        den = {e - m: c for e, c in den.items()}
-        num = {(te - m, ae): c for (te, ae), c in num.items()}
+        return {}, _DEN_ONE
     if len(den) > 1:
-        # cancel any common polynomial factor (powers of t were moved out above)
+        # cancel any common polynomial factor (powers of t live in num)
         slices: dict[int, dict[int, int]] = {}
         for (te, ae), c in num.items():
             slices.setdefault(ae, {})[te] = c
@@ -241,14 +232,9 @@ def _reduce(num: dict[tuple[int, int], int],
                         if c:
                             num[(e + shifts[ae], ae)] = c
     # joint integer content, signed so that den leads positive
-    cont = 0
-    for c in den.values():
-        cont = gcd(cont, c)
+    cont = gcd(*den.values())
     if cont != 1:
-        for c in num.values():
-            cont = gcd(cont, c)
-            if cont == 1:
-                break
+        cont = gcd(cont, *num.values())
     if den[max(den)] < 0:
         cont = -cont
     if cont != 1:
@@ -257,20 +243,87 @@ def _reduce(num: dict[tuple[int, int], int],
     return num, den
 
 
-def _lane_error(a, b) -> TypeError:
-    return TypeError(f"cannot combine {type(a).__name__} with {type(b).__name__}: "
-                     "scalars of different rings do not mix")
+def _ring_error(x, y) -> TypeError:
+    where = f" over {y.ring!r}" if hasattr(y, "ring") else ""
+    return TypeError(f"cannot combine a scalar over {x.ring!r} with "
+                     f"{type(y).__name__}{where}: scalars of different rings do not mix")
 
 
-class _ScalarOps:
-    """The operations both scalar kinds derive from their own + - * /."""
+def _operand(x, y):
+    # num and den of y, once y is known to be a scalar of x's ring
+    try:
+        ring, num, den = y.ring, y.num, y.den
+    except AttributeError:
+        raise _ring_error(x, y) from None
+    if ring is not x.ring and ring != x.ring:
+        raise _ring_error(x, y)
+    return num, den
 
-    __slots__ = ()
 
-    def __sub__(self, other):
+class Scalar:
+    """Canonical rational function in t (denominator a-free, numerator Laurent in t, a)."""
+
+    __slots__ = ("num", "den", "ring")
+
+    def __init__(self, num, den, ring, reduced: bool = False):
+        if not reduced:
+            num, den = _reduce(*_clean_input(num, den))
+        self.num = num
+        self.den = den
+        self.ring = ring
+
+    def _new(self, num, den) -> "Scalar":
+        # a result of the arithmetic, in self's class and ring
+        out = object.__new__(type(self))
+        out.num, out.den = _reduce(num, den)
+        out.ring = self.ring
+        return out
+
+    # -- predicates ---------------------------------------------------------
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def is_one(self) -> bool:
+        return self.num == {(0, 0): 1} and self.den == _DEN_ONE
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    # -- arithmetic ---------------------------------------------------------
+    def __add__(self, other: "Scalar") -> "Scalar":
+        onum, oden = _operand(self, other)
+        if self.den == oden:
+            return self._new(_num_add(self.num, onum), oden)
+        d2 = {(e, 0): c for e, c in oden.items()}
+        d1 = {(e, 0): c for e, c in self.den.items()}
+        num = _num_add(_num_mul(self.num, d2), _num_mul(onum, d1))
+        return self._new(num, _poly_mul(self.den, oden))
+
+    def __neg__(self) -> "Scalar":
+        return type(self)({k: -c for k, c in self.num.items()}, self.den, self.ring,
+                          reduced=True)
+
+    def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
-    def __pow__(self, k: int):
+    def __mul__(self, other: "Scalar") -> "Scalar":
+        onum, oden = _operand(self, other)
+        return self._new(_num_mul(self.num, onum), _poly_mul(self.den, oden))
+
+    def __truediv__(self, other: "Scalar") -> "Scalar":
+        onum, oden = _operand(self, other)
+        if not onum:
+            raise ZeroDivisionError("division by zero scalar")
+        aexps = {ae for (_, ae) in onum}
+        if len(aexps) != 1:
+            raise ValueError("divisor must be a-free up to a monomial in a")
+        ae = aexps.pop()
+        m = min(te for te, _ in onum)
+        lp = {te - m: c for (te, _), c in onum.items()}
+        d2 = {(e - m, -ae): c for e, c in oden.items()}
+        return self._new(_num_mul(self.num, d2), _poly_mul(self.den, lp))
+
+    def __pow__(self, k: int) -> "Scalar":
         if k < 0:
             return self.ring.one / self ** (-k)
         out = self.ring.one
@@ -282,74 +335,13 @@ class _ScalarOps:
             k >>= 1
         return out
 
-
-class Scalar(_ScalarOps):
-    """Canonical rational function in t (denominator a-free, numerator Laurent in t, a)."""
-
-    __slots__ = ("num", "den", "ring")
-
-    def __init__(self, num, den, ring, reduced: bool = False):
-        if not reduced:
-            num, den = _reduce(num, den)
-        self.num = num
-        self.den = den
-        self.ring = ring
-
-    # -- predicates ---------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def is_one(self) -> bool:
-        return self.num == {(0, 0): 1} and self.den == _DEN_ONE
-
-    # -- arithmetic ---------------------------------------------------------
-    def __add__(self, other: "Scalar") -> "Scalar":
-        try:
-            oden = other.den
-        except AttributeError:
-            raise _lane_error(self, other) from None
-        if self.den == oden:
-            return Scalar(_num_add(self.num, other.num), self.den, self.ring)
-        d2 = {(e, 0): c for e, c in oden.items()}
-        d1 = {(e, 0): c for e, c in self.den.items()}
-        num = _num_add(_num_mul(self.num, d2), _num_mul(other.num, d1))
-        return Scalar(num, _poly_mul(self.den, other.den), self.ring)
-
-    def __neg__(self) -> "Scalar":
-        return Scalar({k: -c for k, c in self.num.items()}, self.den, self.ring, reduced=True)
-
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        try:
-            onum = other.num
-        except AttributeError:
-            raise _lane_error(self, other) from None
-        return Scalar(_num_mul(self.num, onum),
-                      _poly_mul(self.den, other.den), self.ring)
-
-    def __truediv__(self, other: "Scalar") -> "Scalar":
-        try:
-            onum = other.num
-        except AttributeError:
-            raise _lane_error(self, other) from None
-        if not onum:
-            raise ZeroDivisionError("division by zero scalar")
-        aexps = {ae for (_, ae) in onum}
-        if len(aexps) != 1:
-            raise ValueError("divisor must be a-free up to a monomial in a")
-        ae = aexps.pop()
-        m = min(te for te, _ in onum)
-        lp = {te - m: c for (te, _), c in onum.items()}
-        d2 = {(e - m, -ae): c for e, c in other.den.items()}
-        num = _num_mul(self.num, d2)
-        return Scalar(num, _poly_mul(self.den, lp), self.ring)
-
     # -- substitutions ------------------------------------------------------
     def subs_q_inverse(self) -> "Scalar":
         """Substitute t by 1/t (equivalently q by 1/q)."""
         d = max(self.den)
         num = {(d - te, ae): c for (te, ae), c in self.num.items()}
         den = {d - e: c for e, c in self.den.items()}
-        return Scalar(num, den, self.ring)
+        return self._new(num, den)
 
     def subs_a_one(self) -> "Scalar":
         """Set a = 1."""
@@ -361,7 +353,7 @@ class Scalar(_ScalarOps):
                 num[k] = v
             else:
                 num.pop(k, None)
-        return Scalar(num, self.den, self.ring)
+        return self._new(num, self.den)
 
     def adams(self, k: int) -> "Scalar":
         """The degree-k Adams image: t -> t^k, a -> a^k."""
@@ -371,7 +363,7 @@ class Scalar(_ScalarOps):
             return self
         num = {(te * k, ae * k): c for (te, ae), c in self.num.items()}
         den = {e * k: c for e, c in self.den.items()}
-        return Scalar(num, den, self.ring, reduced=True)
+        return type(self)(num, den, self.ring, reduced=True)
 
     def eval_q(self, t_value: Fraction) -> "LaurentScalar":
         """Evaluate at a rational value of t = q^(1/2); a stays formal."""
@@ -381,27 +373,24 @@ class Scalar(_ScalarOps):
         dv = sum(c * t_value ** e for e, c in self.den.items())
         if dv == 0:
             raise ZeroDivisionError("denominator vanishes at this value of t")
-        out: dict[int, Fraction] = {}
+        out: dict[tuple[int, int], Fraction] = {}
         for (te, ae), c in self.num.items():
-            out[ae] = out.get(ae, 0) + c * t_value ** te
-        return LaurentScalar({ae: v / dv for ae, v in out.items()}, NumericQ(t_value))
+            out[(0, ae)] = out.get((0, ae), 0) + c * t_value ** te
+        return LaurentScalar(out, {0: dv}, NumericQ(t_value))
 
     # -- plumbing -----------------------------------------------------------
     def __eq__(self, other) -> bool:
         if not isinstance(other, Scalar):
-            if isinstance(other, LaurentScalar):
-                raise _lane_error(self, other)
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        onum, oden = _operand(self, other)
+        return self.num == onum and self.den == oden
 
     def __hash__(self):
         return hash((tuple(sorted(self.num.items())), tuple(sorted(self.den.items()))))
 
     def __str__(self) -> str:
         # print rational coefficients over the primitive part of den
-        cont = 0
-        for c in self.den.values():
-            cont = gcd(cont, c)
+        cont = gcd(*self.den.values())
         num, den = self.num, self.den
         if cont != 1:
             num = {k: Fraction(c, cont) for k, c in num.items()}
@@ -412,7 +401,32 @@ class Scalar(_ScalarOps):
         return f"({ns})/({_den_str(den)})"
 
     def __repr__(self) -> str:
-        return f"Scalar({self})"
+        return f"{type(self).__name__}({self})"
+
+
+class LaurentScalar(Scalar):
+    """A scalar of a numeric ring: the normal form of Scalar with t pinned.
+
+    Every t exponent is 0 and den is one positive integer, so a value is a
+    Laurent polynomial in a with rational coefficients.  The arithmetic is
+    Scalar's, bound again in this class's own dict: wrapping a Scalar method
+    by name, as benchmark/tracer.py does, then leaves this lane's unwrapped,
+    and each lane is counted once.
+    """
+
+    __slots__ = ()
+    __add__, __sub__, __neg__ = Scalar.__add__, Scalar.__sub__, Scalar.__neg__
+    __mul__, __truediv__, __pow__ = Scalar.__mul__, Scalar.__truediv__, Scalar.__pow__
+    subs_a_one = Scalar.subs_a_one
+
+    def adams(self, k: int):
+        raise NotImplementedError("Adams operations need symbolic q")
+
+    def subs_q_inverse(self):
+        raise NotImplementedError("q -> 1/q substitution needs symbolic q")
+
+    def eval_q(self, t_value):
+        raise NotImplementedError("evaluating at a value of q needs symbolic q")
 
 
 def _term_str(c: Fraction | int, vars_part: str) -> str:
@@ -451,11 +465,12 @@ class SymbolicQ:
     """Factory ring for symbolic scalars.  Holds the memo caches."""
 
     mode = "symbolic"
+    _scalar = Scalar
 
     def __init__(self):
         self.memo: dict = {}
-        self.one = Scalar({(0, 0): 1}, {0: 1}, self, reduced=True)
-        self.zero = Scalar({}, {0: 1}, self, reduced=True)
+        self.zero = self._scalar({}, _DEN_ONE, self, reduced=True)
+        self.one = self.monomial(1)
 
     def from_fraction(self, c) -> Scalar:
         """The rational constant c (an int, or a rational with numerator/denominator)."""
@@ -466,110 +481,41 @@ class SymbolicQ:
         if not c:
             return self.zero
         # a rational's numerator and denominator are coprime, denominator > 0
-        return Scalar({(t_exp, a_exp): c.numerator}, {0: c.denominator}, self,
-                      reduced=True)
+        return self._scalar({(t_exp, a_exp): c.numerator}, {0: c.denominator}, self,
+                            reduced=True)
 
     def t_power(self, k: int) -> Scalar:
-        return Scalar({(k, 0): 1}, {0: 1}, self, reduced=True)
+        return self.monomial(1, k)
 
     def a_power(self, k: int) -> Scalar:
-        return Scalar({(0, k): 1}, {0: 1}, self, reduced=True)
+        return self.monomial(1, 0, k)
 
     def quantum_int(self, n: int) -> Scalar:
         """The balanced quantum integer {n} = t^n - t^(-n)."""
         if n == 0:
             return self.zero
-        return Scalar({(n, 0): 1, (-n, 0): -1}, {0: 1}, self, reduced=True)
+        return Scalar({(n, 0): 1, (-n, 0): -1}, _DEN_ONE, self, reduced=True)
 
     def __repr__(self):
         return "SymbolicQ()"
 
 
-class LaurentScalar(_ScalarOps):
-    """Numeric-mode scalar: a Laurent polynomial in a over the rationals."""
+class NumericQ(SymbolicQ):
+    """Factory ring with t = q^(1/2) pinned to an exact rational value.
 
-    __slots__ = ("coeffs", "ring")
-
-    def __init__(self, coeffs: dict[int, Fraction], ring: "NumericQ", clean: bool = False):
-        if not clean:
-            coeffs = {e: c for e, c in coeffs.items() if c}
-        self.coeffs = coeffs
-        self.ring = ring
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_one(self) -> bool:
-        return self.coeffs == {0: _ONE}
-
-    def __add__(self, other: "LaurentScalar") -> "LaurentScalar":
-        try:
-            ocoeffs = other.coeffs
-        except AttributeError:
-            raise _lane_error(self, other) from None
-        return LaurentScalar(_num_add(self.coeffs, ocoeffs), self.ring, clean=True)
-
-    def __neg__(self):
-        return LaurentScalar({e: -c for e, c in self.coeffs.items()}, self.ring, clean=True)
-
-    def __mul__(self, other: "LaurentScalar") -> "LaurentScalar":
-        try:
-            ocoeffs = other.coeffs
-        except AttributeError:
-            raise _lane_error(self, other) from None
-        return LaurentScalar(_poly_mul(self.coeffs, ocoeffs), self.ring, clean=True)
-
-    def __truediv__(self, other: "LaurentScalar") -> "LaurentScalar":
-        try:
-            ocoeffs = other.coeffs
-        except AttributeError:
-            raise _lane_error(self, other) from None
-        if not ocoeffs:
-            raise ZeroDivisionError("division by zero scalar")
-        if len(ocoeffs) != 1:
-            raise ValueError("divisor must be a-free up to a monomial in a")
-        (ae, c), = ocoeffs.items()
-        return LaurentScalar({e - ae: v / c for e, v in self.coeffs.items()}, self.ring, clean=True)
-
-    def subs_a_one(self) -> "LaurentScalar":
-        return LaurentScalar({0: sum(self.coeffs.values(), _ZERO)}, self.ring)
-
-    def adams(self, k: int):
-        raise NotImplementedError("Adams operations need symbolic q")
-
-    def subs_q_inverse(self):
-        raise NotImplementedError("q -> 1/q substitution needs symbolic q")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentScalar):
-            if isinstance(other, Scalar):
-                raise _lane_error(self, other)
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def __str__(self) -> str:
-        return _num_str({(0, e): c for e, c in self.coeffs.items()})
-
-    def __repr__(self):
-        return f"LaurentScalar({self})"
-
-
-class NumericQ:
-    """Factory ring with t = q^(1/2) pinned to an exact rational value."""
+    Its scalars are LaurentScalars: a power of t joins the rational
+    coefficient, so every t exponent is 0.
+    """
 
     mode = "numeric"
+    _scalar = LaurentScalar
 
     def __init__(self, t):
         t = Fraction(t)
         if t == 0:
             raise ValueError("t must be nonzero")
         self.t = t
-        self.memo: dict = {}
-        self.one = LaurentScalar({0: _ONE}, self, clean=True)
-        self.zero = LaurentScalar({}, self, clean=True)
+        super().__init__()
 
     @classmethod
     def from_q(cls, q) -> "NumericQ":
@@ -582,29 +528,13 @@ class NumericQ:
             raise ValueError("q must be the square of a rational so that t = q^(1/2) is exact")
         return cls(Fraction(rn, rd))
 
-    def from_fraction(self, c) -> LaurentScalar:
-        c = Fraction(c)
-        if not c:
-            return self.zero
-        return LaurentScalar({0: c}, self, clean=True)
-
     def monomial(self, c, t_exp: int = 0, a_exp: int = 0) -> LaurentScalar:
-        c = Fraction(c) * self.t ** t_exp
-        if not c:
-            return self.zero
-        return LaurentScalar({a_exp: c}, self, clean=True)
-
-    def t_power(self, k: int) -> LaurentScalar:
-        return LaurentScalar({0: self.t ** k}, self, clean=True)
-
-    def a_power(self, k: int) -> LaurentScalar:
-        return LaurentScalar({k: _ONE}, self, clean=True)
+        if t_exp:
+            c = c * self.t ** t_exp
+        return super().monomial(c, 0, a_exp)
 
     def quantum_int(self, n: int) -> LaurentScalar:
-        v = self.t ** n - self.t ** (-n)
-        if not v:
-            return self.zero
-        return LaurentScalar({0: v}, self, clean=True)
+        return self.monomial(self.t ** n - self.t ** (-n))
 
     def __eq__(self, other):
         return isinstance(other, NumericQ) and other.t == self.t
@@ -707,6 +637,9 @@ class TruncatedSeries:
 
     # -- ring structure --------------------------------------------------------
     def _require_like(self, other) -> None:
+        if not isinstance(other, type(self)):
+            raise TypeError(f"cannot combine {type(self).__name__} with "
+                            f"{type(other).__name__}")
         if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("mixed coefficient rings")
 
@@ -778,6 +711,9 @@ class TruncatedSeries:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
 
     def coefficient(self, key):
         c = self.terms.get(key)

@@ -25,9 +25,9 @@ from .scalars import SYMBOLIC, NovikovSeries
 from .symfunc import SymFunc, sym_exp
 
 
-def formal(name: str, ring=SYMBOLIC, cap: int | None = None) -> NovikovSeries:
+def formal(name: str, ring=SYMBOLIC) -> NovikovSeries:
     """A named formal parameter as a degree-one series."""
-    return NovikovSeries.monomial({name: 1}, ring.one, cap)
+    return NovikovSeries.monomial({name: 1}, ring.one)
 
 
 def unknot_value(ring=SYMBOLIC):
@@ -112,8 +112,7 @@ def _pieri_sum(f: SymFunc, lam) -> NovikovSeries:
     return out
 
 
-def verify_dilog_recurrence(cap: int, which: str = "forward", ring=SYMBOLIC,
-                            xi_name: str = "xi") -> dict:
+def verify_dilog_recurrence(cap: int, which: str = "forward", ring=SYMBOLIC) -> dict:
     """Check the meridian recursion against the closed-form coefficients.
 
     forward: (unknot - meridian(+1) - a xi s_1) annihilates Psi[xi];
@@ -123,7 +122,7 @@ def verify_dilog_recurrence(cap: int, which: str = "forward", ring=SYMBOLIC,
     if which not in ("forward", "inverse"):
         raise ValueError("which must be 'forward' or 'inverse'")
     inverse = which == "inverse"
-    xi = formal(xi_name, ring)
+    xi = formal("xi", ring)
     f = psi_inverse(xi, cap, ring) if inverse else psi(xi, cap, ring)
     o = unknot_value(ring)
     abr = ring.a_power(-1 if inverse else 1)
@@ -144,8 +143,7 @@ def verify_dilog_recurrence(cap: int, which: str = "forward", ring=SYMBOLIC,
     }
 
 
-def solve_recurrence(cap: int, ring=SYMBOLIC, which: str = "forward",
-                     xi_name: str = "xi") -> SymFunc:
+def solve_recurrence(cap: int, ring=SYMBOLIC, which: str = "forward") -> SymFunc:
     """Solve the meridian recursion degree by degree from the unit constant term.
 
     This is the uniqueness half: the recursion determines all coefficients,
@@ -153,7 +151,7 @@ def solve_recurrence(cap: int, ring=SYMBOLIC, which: str = "forward",
     """
     if which not in ("forward", "inverse"):
         raise ValueError("which must be 'forward' or 'inverse'")
-    xi = formal(xi_name, ring)
+    xi = formal("xi", ring)
     inverse = which == "inverse"
     terms = {(): NovikovSeries.constant(ring.one)}
     f = SymFunc("schur", terms, cap, ring, clean=True)

@@ -53,9 +53,6 @@ class StripGeometry:
             raise ValueError("the leftmost vertex must have type A")
         self.types = types
 
-    def __len__(self) -> int:
-        return len(self.types)
-
     def __repr__(self):
         return f"StripGeometry({self.types!r})"
 

@@ -156,7 +156,7 @@ def test_eval_q_is_ring_homomorphism():
 def test_eval_q_example():
     # {2} at t = 2 is 2^2 - 2^-2 = 15/4
     got = quantum_integer(2).eval_q(Fraction(2))
-    assert got.coeffs == {0: Fraction(15, 4)}
+    assert got.num == {(0, 0): 15} and got.den == {0: 4}
 
 
 def test_numeric_ring_from_q():
@@ -165,7 +165,8 @@ def test_numeric_ring_from_q():
     with pytest.raises(ValueError):
         NumericQ.from_q(Fraction(1, 2))
     x = ring.quantum_int(2)
-    assert x.coeffs == {0: Fraction(9, 4) - Fraction(4, 9)}
+    # 9/4 - 4/9 = 65/36
+    assert x.num == {(0, 0): 65} and x.den == {0: 36}
 
 
 def test_numeric_matches_symbolic_eval():
@@ -179,11 +180,26 @@ def test_numeric_matches_symbolic_eval():
 def test_mixing_lanes_raises_type_error():
     ring = NumericQ(Fraction(3, 2))
     sym, num = t(1) + R.one, ring.from_fraction(2)
-    for x, y in ((sym, num), (num, sym)):
+    # a second numeric ring is a different ring, not the same lane
+    other = NumericQ(Fraction(5, 1)).from_fraction(2)
+    for x, y in ((sym, num), (num, sym), (num, other), (other, num)):
         for op in (operator.add, operator.sub, operator.mul, operator.truediv,
                    operator.eq):
             with pytest.raises(TypeError):
                 op(x, y)
+    # an equal ring built twice is the same ring
+    assert NumericQ(Fraction(3, 2)).one + ring.one == ring.from_fraction(2)
+    for x in (sym, num):
+        for y in (1, NovikovSeries.constant(x.ring.one)):
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                with pytest.raises(TypeError):
+                    op(x, y)
+
+
+@pytest.mark.parametrize("ring", [R, NumericQ(Fraction(3, 2))], ids=lambda r: r.mode)
+def test_zero_scalar_is_falsy(ring):
+    assert not ring.zero and not ring.one - ring.one
+    assert ring.one and ring.quantum_int(1)
 
 
 # --- NovikovSeries -----------------------------------------------------------

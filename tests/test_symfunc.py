@@ -309,6 +309,19 @@ def test_series_reject_mixed_rings(cls):
         sym * num
     with pytest.raises(ValueError):
         sym == num
+    # a plain number or a scalar is not a series of this kind
+    for other in (1, R.one):
+        with pytest.raises(TypeError):
+            sym + other
+        with pytest.raises(TypeError):
+            sym * other
+
+
+@pytest.mark.parametrize("ring", [R, NumericQ(Fraction(3, 2))], ids=lambda r: r.mode)
+@pytest.mark.parametrize("cls", [*EXP_KEYS, NovikovSeries], ids=lambda c: c.__name__)
+def test_zero_series_is_falsy(cls, ring):
+    assert not cls.zero(ring, 2) and cls.one(ring, 2)
+    assert not cls.one(ring, 2) - cls.one(ring, 2)
 
 
 @pytest.mark.parametrize("cls", [SymFunc, SymFunc2], ids=lambda c: c.__name__)
@@ -413,11 +426,7 @@ def test_specializations_against_truncated_sums():
 
 
 def as_fraction_eval(scalar, tval):
-    out = scalar.eval_q(tval)
-    if out.is_zero():
-        return Fraction(0)
-    assert list(out.coeffs) == [0]
-    return out.coeffs[0]
+    return as_fraction(scalar.eval_q(tval))
 
 
 def test_spec_h_consistent_with_skew():

@@ -68,7 +68,7 @@ def test_strip_geometry_validation():
     with pytest.raises(ValueError):
         StripGeometry("BA")
     s = StripGeometry("AAB")
-    assert len(s) == 3
+    assert s.types == "AAB"
     with pytest.raises(ValueError):
         s.q_interval(0, 2)
 
