@@ -175,10 +175,11 @@ def _num_mul(n1: dict[tuple[int, int], int],
     return out
 
 
-def _num_add(n1, n2):
-    out = dict(n1)
+def _num_add(n1, n2, m1: int = 1, m2: int = 1):
+    # m1 * n1 + m2 * n2 for integers m1 and m2
+    out = dict(n1) if m1 == 1 else {k: c * m1 for k, c in n1.items()}
     for k, c in n2.items():
-        v = out.get(k, 0) + c
+        v = out.get(k, 0) + c * m2
         if v:
             out[k] = v
         else:
@@ -232,9 +233,7 @@ def _reduce(num: dict[tuple[int, int], int],
                         if c:
                             num[(e + shifts[ae], ae)] = c
     # joint integer content, signed so that den leads positive
-    cont = gcd(*den.values())
-    if cont != 1:
-        cont = gcd(cont, *num.values())
+    cont = gcd(*den.values(), *num.values())
     if den[max(den)] < 0:
         cont = -cont
     if cont != 1:
@@ -292,8 +291,14 @@ class Scalar:
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other: "Scalar") -> "Scalar":
         onum, oden = _operand(self, other)
-        if self.den == oden:
-            return self._new(_num_add(self.num, onum), oden)
+        den = self.den
+        if den == oden:
+            return self._new(_num_add(self.num, onum), den)
+        if len(den) == 1 == len(oden):
+            # integer denominators (every numeric value): add over their lcm
+            g = gcd(den[0], oden[0])
+            return self._new(_num_add(self.num, onum, oden[0] // g, den[0] // g),
+                             {0: den[0] // g * oden[0]})
         d2 = {(e, 0): c for e, c in oden.items()}
         d1 = {(e, 0): c for e, c in self.den.items()}
         num = _num_add(_num_mul(self.num, d2), _num_mul(onum, d1))
