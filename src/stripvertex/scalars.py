@@ -508,8 +508,9 @@ class SymbolicQ:
 class NumericQ(SymbolicQ):
     """Factory ring with t = q^(1/2) pinned to an exact rational value.
 
-    Its scalars are LaurentScalars: a power of t joins the rational
-    coefficient, so every t exponent is 0.
+    SymbolicQ with t pinned: its scalars are LaurentScalars, and monomial,
+    which the other factories go through, folds the power of t into the
+    rational coefficient, so every t exponent is 0.
     """
 
     mode = "numeric"
