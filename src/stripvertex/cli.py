@@ -201,8 +201,7 @@ def _run_verify(job) -> dict:
     elif command == "verify-strip":
         report = verify_strip_identity(job["strip"].types, cap, ring)
     else:
-        report = verify_annihilation(job["strip"], cap, ring)
-    report = dict(report)
+        report = verify_annihilation(job["strip"].types, cap, ring)
     report["command"] = command
     report["q"] = job["q"]
     return report

@@ -5,16 +5,15 @@ q-series z(x), a QSeries: the one-variable instance of the truncated
 series core scalars.TruncatedSeries.  The quantum curve of a strip acts on
 such series through the shift x -> qx, and z(x) is annihilated by it.
 This module builds the reduction, the shift, z(x) from its logarithm (the
-strip's negated disk row, in either q lane) and the residual test; the
-strip arguments may be StripGeometry objects or their type words.
+strip's negated disk row, in either q lane) and the residual test.
 """
 
 import operator
 
 from .partitions import size
 from .scalars import SYMBOLIC, NovikovSeries, TruncatedSeries
-from .skein import disk_weight, psi, psi_inverse
-from .symfunc import SymFunc
+from .skein import _hook_content, disk_weight
+from .symfunc import SymFunc, check_report
 from .vertex import StripGeometry, mirror_and_quantum, strip_params
 
 __all__ = [
@@ -37,6 +36,7 @@ class QSeries(TruncatedSeries):
     __slots__ = ()
     _unit = 0
     _key_mul = staticmethod(operator.add)
+    _key_row = staticmethod(lambda d: [d])
 
     def __init__(self, terms: dict, cap: int, ring, clean: bool = False):
         super().__init__("p", terms, cap, ring, clean)
@@ -80,11 +80,7 @@ def sigma_q(z: QSeries) -> QSeries:
                    z.cap, ring, clean=True)
 
 
-def _as_strip(strip) -> StripGeometry:
-    return StripGeometry(strip) if isinstance(strip, str) else strip
-
-
-def log_reduce(strip, cap: int, ring=SYMBOLIC) -> QSeries:
+def log_reduce(strip: StripGeometry, cap: int, ring=SYMBOLIC) -> QSeries:
     """z(x) from its logarithm -sum_d (sum_i a_i^d - sum_j b_j^d) x^d / (d{d}).
 
     The x^d coefficient of the logarithm is the strip's first-boundary disk
@@ -92,7 +88,6 @@ def log_reduce(strip, cap: int, ring=SYMBOLIC) -> QSeries:
     agree with u1_reduce of the dilogarithm product built from the same
     interval weights; the exponential is the shared series one.
     """
-    strip = _as_strip(strip)
     log = QSeries.zero(ring, cap)
     for d in range(1, cap + 1):
         log.add_term(d, strip.disk_row(d, -disk_weight(d, ring)))
@@ -100,17 +95,20 @@ def log_reduce(strip, cap: int, ring=SYMBOLIC) -> QSeries:
 
 
 def _reduced_solution(alphas, betas, cap: int, ring) -> QSeries:
-    # the reduction is an algebra map, so the dilogarithm factors of the
-    # solution may be reduced first and multiplied as one-variable series
+    # the reduction is an algebra map that keeps only one-row Schur terms:
+    # each dilogarithm factor reduces to the sum of xi^n x^n times the
+    # hook-content coefficient of (n), and the factors multiply in x
     out = QSeries.one(ring, cap)
-    for al in alphas:
-        out = out * u1_reduce(psi(al, cap, ring))
-    for be in betas:
-        out = out * u1_reduce(psi_inverse(be, cap, ring))
+    for xi, inverse in [(al, False) for al in alphas] + [(be, True) for be in betas]:
+        row, xpow = QSeries.one(ring, cap), NovikovSeries.constant(ring.one)
+        for n in range(1, cap + 1):
+            xpow = xpow * xi
+            row.add_term(n, xpow.scale(_hook_content((n,), ring, inverse)))
+        out = out * row
     return out
 
 
-def curve_residual(strip, z: QSeries, ring=SYMBOLIC) -> QSeries:
+def curve_residual(strip: StripGeometry, z: QSeries, ring=SYMBOLIC) -> QSeries:
     """Apply the quantum curve to z and return what is left over.
 
         residual = sigma_q(z) * prod_j (1 - t b_j x) - z * prod_i (1 - t a_i x)
@@ -122,25 +120,15 @@ def curve_residual(strip, z: QSeries, ring=SYMBOLIC) -> QSeries:
     (classically the two pairings describe the same curve, read through
     y -> 1/y).  The module tests pin the degree-one cancellation by hand.
     """
-    strip = _as_strip(strip)
     curve = mirror_and_quantum(strip, ring)
     a_poly = QSeries.from_list(curve["quantum"]["A"], z.cap, ring)
     b_poly = QSeries.from_list(curve["quantum"]["B"], z.cap, ring)
     return sigma_q(z) * b_poly - z * a_poly
 
 
-def verify_annihilation(strip, cap: int, ring=SYMBOLIC) -> dict:
+def verify_annihilation(types: str, cap: int, ring=SYMBOLIC) -> dict:
     """Check that the quantum curve kills the reduced solution through x^cap."""
-    strip = _as_strip(strip)
+    strip = StripGeometry(types)
     alphas, betas = strip_params(strip, ring)
-    z = _reduced_solution(alphas, betas, cap, ring)
-    r = curve_residual(strip, z, ring)
-    residuals = [[d, str(c)] for d, c in r.sorted_terms()]
-    return {
-        "check": "curve-annihilation",
-        "types": strip.types,
-        "cap": cap,
-        "checked": cap + 1,
-        "residuals": residuals,
-        "pass": not residuals,
-    }
+    r = curve_residual(strip, _reduced_solution(alphas, betas, cap, ring), ring)
+    return check_report("curve-annihilation", r, cap + 1, types=types, cap=cap)

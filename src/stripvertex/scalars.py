@@ -282,9 +282,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self.num
 
-    def is_one(self) -> bool:
-        return self.num == {(0, 0): 1} and self.den == _DEN_ONE
-
     def __bool__(self) -> bool:
         return not self.is_zero()
 
@@ -575,10 +572,11 @@ class TruncatedSeries:
 
     Subclasses supply the key hooks: _size (the grading, additive under
     _key_mul), _key_mul (the product of two power sum keys), _unit (the
-    empty key), _key_str and _rewrite (one key in the other basis), and
-    _lift (a scalar as a coefficient).  Terms of key size above cap are
-    dropped; cap = math.inf keeps every term.  With _combined set, a
-    coefficient is also truncated to Novikov degree cap - size(key).
+    empty key), _key_str, _key_row (its columns in symfunc.check_report),
+    _rewrite (one key in the other basis) and _lift (a scalar as a
+    coefficient).  Terms of key size above cap are dropped; cap = math.inf
+    keeps every term.  With _combined set, a coefficient is also truncated
+    to Novikov degree cap - size(key).
     Products are taken in the "p" basis and returned in the basis of the
     left factor.  Both operands of +, * and == must share one ring.
 

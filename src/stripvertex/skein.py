@@ -22,7 +22,7 @@ from .partitions import (
     size,
 )
 from .scalars import SYMBOLIC, NovikovSeries
-from .symfunc import SymFunc, sym_exp
+from .symfunc import SymFunc, check_report, sym_exp
 
 
 def formal(name: str, ring=SYMBOLIC) -> NovikovSeries:
@@ -112,6 +112,20 @@ def _pieri_sum(f: SymFunc, lam) -> NovikovSeries:
     return out
 
 
+def _recursion(which: str, ring):
+    """The operator unknot - meridian(+-1) - a^(+-1) xi s_1, + forward, - inverse.
+
+    Returns its diagonal part, lam -> unknot - meridian_eigenvalue(lam, +-1),
+    and the weight a^(+-1) xi of its part that adds a box.
+    """
+    if which not in ("forward", "inverse"):
+        raise ValueError("which must be 'forward' or 'inverse'")
+    o = 1 if which == "forward" else -1
+    unknot = unknot_value(ring)
+    return (lambda lam: unknot - meridian_eigenvalue(lam, o, ring),
+            formal("xi", ring).scale(ring.a_power(o)))
+
+
 def verify_dilog_recurrence(cap: int, which: str = "forward", ring=SYMBOLIC) -> dict:
     """Check the meridian recursion against the closed-form coefficients.
 
@@ -119,52 +133,27 @@ def verify_dilog_recurrence(cap: int, which: str = "forward", ring=SYMBOLIC) -> 
     inverse: (unknot - meridian(-1) - (1/a) xi s_1) annihilates Psi[xi]^(-1).
     Returns a JSON-ready report; residuals lists the offending terms.
     """
-    if which not in ("forward", "inverse"):
-        raise ValueError("which must be 'forward' or 'inverse'")
-    inverse = which == "inverse"
-    xi = formal("xi", ring)
-    f = psi_inverse(xi, cap, ring) if inverse else psi(xi, cap, ring)
-    o = unknot_value(ring)
-    abr = ring.a_power(-1 if inverse else 1)
-    bad = []
-    checked = 0
-    for lam in enumerate_partitions(cap):
-        ev = meridian_eigenvalue(lam, -1 if inverse else +1, ring)
-        res = f.coefficient(lam).scale(o - ev) - (_pieri_sum(f, lam) * xi).scale(abr)
-        checked += 1
-        if not res.is_zero():
-            bad.append([list(lam), str(res)])
-    return {
-        "check": f"skein-dilog-recurrence-{which}",
-        "cap": cap,
-        "checked": checked,
-        "residuals": bad,
-        "pass": not bad,
-    }
+    diagonal, weight = _recursion(which, ring)
+    f = (psi_inverse if which == "inverse" else psi)(formal("xi", ring), cap, ring)
+    shapes = enumerate_partitions(cap)
+    residual = SymFunc("schur", {lam: f.coefficient(lam).scale(diagonal(lam))
+                                 - _pieri_sum(f, lam) * weight for lam in shapes},
+                       cap, ring)
+    return check_report(f"skein-dilog-recurrence-{which}", residual, len(shapes),
+                        cap=cap)
 
 
-def solve_recurrence(cap: int, ring=SYMBOLIC, which: str = "forward") -> SymFunc:
-    """Solve the meridian recursion degree by degree from the unit constant term.
+def solve_recurrence(cap: int, which: str = "forward", ring=SYMBOLIC) -> SymFunc:
+    """Solve the meridian recursion of `which` degree by degree from the unit term.
 
-    This is the uniqueness half: the recursion determines all coefficients,
-    so the result must reproduce the closed form.
+    The s_lam coefficient is the box-adding part applied to the smaller ones,
+    over the operator's diagonal at lam.  This is the uniqueness half: the
+    result must reproduce Psi[xi] (forward) or its inverse.
     """
-    if which not in ("forward", "inverse"):
-        raise ValueError("which must be 'forward' or 'inverse'")
-    xi = formal("xi", ring)
-    inverse = which == "inverse"
-    terms = {(): NovikovSeries.constant(ring.one)}
-    f = SymFunc("schur", terms, cap, ring, clean=True)
-    z = ring.quantum_int(1)
-    for lam in enumerate_partitions(cap):
-        if not lam:
-            continue
-        cpoly = content_polynomial(lam, ring, inverse_q=inverse)
-        acc = _pieri_sum(f, lam) * xi
-        if inverse:
-            coeff = acc.scale(ring.one / (z * cpoly))
-        else:
-            coeff = acc.scale(-(ring.one / (z * cpoly)))
+    diagonal, weight = _recursion(which, ring)
+    f = SymFunc.one(ring, cap, "schur")
+    for lam in enumerate_partitions(cap)[1:]:
+        coeff = (_pieri_sum(f, lam) * weight).scale(ring.one / diagonal(lam))
         if not coeff.is_zero():
             f.terms[lam] = coeff
     return f

@@ -57,6 +57,7 @@ class SymFunc(TruncatedSeries):
     _size = staticmethod(size)
     _key_mul = staticmethod(_concat)
     _rewrite = staticmethod(_basis_row)
+    _key_row = staticmethod(lambda lam: [list(lam)])
 
     @staticmethod
     def _key_str(key: Partition, sym: str) -> str:
@@ -73,6 +74,17 @@ class SymFunc(TruncatedSeries):
 
 # the one exponential, under its symmetric-function name
 sym_exp = SymFunc.exp
+
+
+def check_report(check: str, residual: TruncatedSeries, checked: int, **fields) -> dict:
+    """The JSON-ready report of a machine check, passing when residual is zero.
+
+    residuals holds one row per residual term in size-then-key order: the
+    key's _key_row, then the coefficient string.
+    """
+    rows = [residual._key_row(k) + [str(c)] for k, c in residual.sorted_terms()]
+    return {"check": check, **fields, "checked": checked, "residuals": rows,
+            "pass": not rows}
 
 
 def hall_pairing(f: SymFunc, g: SymFunc) -> NovikovSeries:
@@ -288,6 +300,7 @@ class SymFunc2(TruncatedSeries):
     _size = staticmethod(_pair_size)
     _key_mul = staticmethod(_pair_mul)
     _rewrite = staticmethod(_pair_row)
+    _key_row = staticmethod(lambda key: [list(key[0]), list(key[1])])
 
     @staticmethod
     def _key_str(key: PairKey, sym: str) -> str:

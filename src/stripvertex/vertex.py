@@ -24,7 +24,7 @@ from .partitions import (
 )
 from .scalars import SYMBOLIC, NovikovSeries
 from .skein import disk_weight, solution_element
-from .symfunc import SymFunc, SymFunc2, principal_spec_skew, sym_exp
+from .symfunc import SymFunc, SymFunc2, check_report, principal_spec_skew, sym_exp
 
 
 class NonUnitClosedSector(ValueError):
@@ -342,30 +342,23 @@ def mirror_and_quantum(strip: StripGeometry, ring=SYMBOLIC) -> dict:
 # ---------------------------------------------------------------------------
 # machine checks
 
-def _series2_report(check: str, lhs: SymFunc2, rhs: SymFunc2, extra: dict) -> dict:
-    diff = lhs - rhs
-    keys = set(lhs.terms) | set(rhs.terms)
-    bad = [[list(k1), list(k2), str(c)] for (k1, k2), c in diff.sorted_terms()]
-    report = {"check": check}
-    report.update(extra)
-    report.update({"checked": len(keys), "residuals": bad, "pass": not bad})
-    return report
+def _compare(check: str, lhs, rhs, **fields) -> dict:
+    # the report of lhs == rhs, checked over every key either side holds
+    return check_report(check, lhs - rhs, len(lhs.terms.keys() | rhs.terms.keys()),
+                        **fields)
 
 
 def verify_two_leg_product(cap: int, ring=SYMBOLIC) -> dict:
     """Raw one-vertex series against its triple product form."""
-    lhs = two_leg_vertex_series(cap, ring)
-    rhs = two_leg_product_form(cap, ring)
-    return _series2_report("two-leg-product", lhs, rhs, {"cap": cap})
+    return _compare("two-leg-product", two_leg_vertex_series(cap, ring),
+                    two_leg_product_form(cap, ring), cap=cap)
 
 
 def verify_strip_identity(types: str, cap: int, ring=SYMBOLIC) -> dict:
     """Normalized glued chain against the plethystic closed form."""
     strip = StripGeometry(types)
-    lhs = z_open(glue_strip(strip, cap, ring))
-    rhs = closed_form(strip, cap, ring)
-    return _series2_report("strip-closed-form", lhs, rhs,
-                           {"types": types, "cap": cap})
+    return _compare("strip-closed-form", z_open(glue_strip(strip, cap, ring)),
+                    closed_form(strip, cap, ring), types=types, cap=cap)
 
 
 def verify_one_brane_match(types: str, cap: int, ring=SYMBOLIC) -> dict:
@@ -375,12 +368,7 @@ def verify_one_brane_match(types: str, cap: int, ring=SYMBOLIC) -> dict:
     with the disk-only closed form after inverting q in every coefficient.
     """
     strip = StripGeometry(types)
-    lhs = one_brane_closed_form(strip, cap, ring)
     alphas, betas = strip_params(strip, ring)
     sol = solution_element(alphas, betas, cap, ring)
-    rhs = sol.map_coeffs(lambda s: s.subs_q_inverse())
-    diff = lhs - rhs
-    keys = set(lhs.terms) | set(rhs.terms)
-    bad = [[list(k), str(c)] for k, c in sorted(diff.terms.items())]
-    return {"check": "one-brane-skein-match", "types": types, "cap": cap,
-            "checked": len(keys), "residuals": bad, "pass": not bad}
+    return _compare("one-brane-skein-match", one_brane_closed_form(strip, cap, ring),
+                    sol.map_coeffs(lambda s: s.subs_q_inverse()), types=types, cap=cap)

@@ -2,8 +2,10 @@
 import random
 from fractions import Fraction
 
+from stripvertex import qdiff
 from stripvertex.qdiff import (
     QSeries,
+    _reduced_solution,
     curve_residual,
     log_reduce,
     sigma_q,
@@ -80,10 +82,10 @@ def test_sigma_q_shifts_coefficients():
 
 
 def test_log_reduce_degree_one():
-    z = log_reduce("A", 3)
+    z = log_reduce(StripGeometry("A"), 3)
     assert z.coefficient(0) == novikov_one()
     assert z.coefficient(1) == NovikovSeries.constant(-R.one / q_int(1))
-    z2 = log_reduce("AB", 3)
+    z2 = log_reduce(StripGeometry("AB"), 3)
     q1 = NovikovSeries.monomial({"Q1": 1}, R.one)
     expect = (q1 - NovikovSeries.constant(R.one)).scale(R.one / q_int(1))
     assert z2.coefficient(1) == expect
@@ -92,7 +94,7 @@ def test_log_reduce_degree_one():
 def test_log_reduce_degree_two_closed_form():
     # by hand: z_2 = (1/{1}^2 - 1/{2})/2 and {2} - {1}^2 = 2 t^{-1} {1},
     # so z_2 collapses to t^{-1}/({1}{2})
-    z = log_reduce("A", 4)
+    z = log_reduce(StripGeometry("A"), 4)
     expect = R.t_power(-1) / (q_int(1) * q_int(2))
     assert z.coefficient(2) == NovikovSeries.constant(expect)
 
@@ -104,6 +106,7 @@ def test_log_reduce_matches_reduced_solution():
             alphas, betas = strip_params(strip, ring)
             sol = u1_reduce(solution_element(alphas, betas, 6, ring))
             assert log_reduce(strip, 6, ring) == sol, (ring, word)
+            assert _reduced_solution(alphas, betas, 6, ring) == sol, (ring, word)
 
 
 def test_degree_one_cancellation_by_hand():
@@ -119,6 +122,21 @@ def test_annihilation_symbolic_small_strips():
         assert report["checked"] == 7
     report = verify_annihilation("ABAB", 5)
     assert report["pass"], report["residuals"]
+
+
+def test_annihilation_fails_for_swapped_weights(monkeypatch):
+    # the solution of the curve with its two interval polynomials exchanged
+    def swapped(strip, ring=R):
+        alphas, betas = strip_params(strip, ring)
+        return betas, alphas
+
+    monkeypatch.setattr(qdiff, "strip_params", swapped)
+    report = verify_annihilation("AB", 4)
+    assert report["pass"] is False
+    assert report["residuals"]
+    for row in report["residuals"]:
+        assert isinstance(row[0], int) and isinstance(row[1], str)
+        assert len(row) == 2
 
 
 def test_annihilation_numeric():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from stripvertex import partitions as pt
+from stripvertex import skein
 from stripvertex.scalars import SYMBOLIC, NovikovSeries, NumericQ
 from stripvertex.skein import (
     formal,
@@ -89,23 +90,27 @@ def test_recurrence_reports_pass():
 
 
 def test_recurrence_fails_for_wrong_element():
-    # the inverse element does not satisfy the forward recursion; check the
-    # report machinery actually catches a wrong input by perturbing psi
+    # the forward element passes the forward check and leaves a residual
+    # under the inverse operator: the directions are different checks
     xi = formal("xi")
-    f = psi(xi, 2)
     o = unknot_value()
-    ev = meridian_eigenvalue((1,), +1)
-    res = f.coefficient((1,)).scale(o - ev) - f.coefficient(()).scale(
-        R.a_power(1)) * xi
-    assert not res.is_zero() or True  # smoke only; real check below
     bad = verify_dilog_recurrence(2, "forward")
     assert bad["pass"]
-    # and the directions are genuinely different checks
     wrong = psi(xi, 2, form="product")
     evm = meridian_eigenvalue((1,), -1)
     res2 = wrong.coefficient((1,)).scale(o - evm) - wrong.coefficient(()).scale(
         R.a_power(-1)) * xi
     assert not res2.is_zero()
+
+
+def test_recurrence_report_fails_for_inverse_element(monkeypatch):
+    monkeypatch.setattr(skein, "psi", psi_inverse)
+    rep = verify_dilog_recurrence(3, "forward")
+    assert rep["pass"] is False
+    assert rep["residuals"]
+    for row in rep["residuals"]:
+        assert len(row) == 2
+        assert tuple(row[0]) in pt.enumerate_partitions(3) and isinstance(row[1], str)
 
 
 def test_recurrence_determines_coefficients():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from stripvertex import vertex
 from stripvertex.partitions import enumerate_partitions, size
 from stripvertex.scalars import SYMBOLIC, NovikovSeries, NumericQ
 from stripvertex.symfunc import SymFunc2
@@ -165,6 +166,24 @@ def test_one_brane_match():
     for word in ("A", "AB", "AAB"):
         rep = verify_one_brane_match(word, 4)
         assert rep["pass"] is True, (word, rep["residuals"][:3])
+
+
+@pytest.mark.parametrize("check,key_columns", [
+    (lambda: verify_two_leg_product(2), 2),
+    (lambda: verify_strip_identity("AB", 2), 2),
+    (lambda: verify_one_brane_match("AB", 2), 1),
+], ids=["two-leg", "strip", "one-brane"])
+def test_checks_fail_for_wrong_disk_weight(monkeypatch, check, key_columns):
+    weight = vertex.disk_weight
+    monkeypatch.setattr(vertex, "disk_weight",
+                        lambda d, ring=R: weight(d, ring) + ring.one)
+    rep = check()
+    assert rep["pass"] is False
+    assert rep["residuals"]
+    for row in rep["residuals"]:
+        assert len(row) == key_columns + 1
+        assert all(isinstance(k, list) for k in row[:-1])
+        assert isinstance(row[-1], str)
 
 
 def test_one_brane_closed_form_slices_two_brane():
