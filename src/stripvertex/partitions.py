@@ -11,15 +11,6 @@ from functools import cache
 Partition = tuple[int, ...]
 
 
-def check_partition(lam) -> Partition:
-    lam = tuple(lam)
-    if any(not isinstance(p, int) or p <= 0 for p in lam):
-        raise ValueError(f"not a partition: {lam!r}")
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-        raise ValueError(f"parts must weakly decrease: {lam!r}")
-    return lam
-
-
 def size(lam: Partition) -> int:
     return sum(lam)
 
@@ -83,22 +74,6 @@ def content_polynomial(lam: Partition, ring, inverse_q: bool = False):
     return out
 
 
-def add_box(lam: Partition) -> list[tuple[Partition, int]]:
-    """Partitions covering lam in the Young lattice, with the 1-based row of the new box."""
-    out = []
-    for i in range(len(lam) + 1):
-        cur = lam[i] if i < len(lam) else 0
-        above = lam[i - 1] if i > 0 else None
-        if above is None or cur < above:
-            mu = list(lam)
-            if i < len(lam):
-                mu[i] += 1
-            else:
-                mu.append(1)
-            out.append((tuple(mu), i + 1))
-    return out
-
-
 def remove_box(lam: Partition) -> list[tuple[Partition, int]]:
     """Partitions covered by lam, with the 1-based row the box was removed from."""
     out = []
@@ -109,13 +84,6 @@ def remove_box(lam: Partition) -> list[tuple[Partition, int]]:
             mu[i] -= 1
             out.append((tuple(p for p in mu if p), i + 1))
     return out
-
-
-def contains(lam: Partition, mu: Partition) -> bool:
-    """Whether the diagram of mu fits inside the diagram of lam."""
-    if len(mu) > len(lam):
-        return False
-    return all(mu[i] <= lam[i] for i in range(len(mu)))
 
 
 def subpartitions(bound: Partition) -> list[Partition]:
@@ -150,11 +118,6 @@ def z_factor(mu: Partition) -> int:
         for i in range(1, m + 1):
             out *= i
     return out
-
-
-def epsilon(mu: Partition) -> int:
-    """Sign of a permutation of cycle type mu."""
-    return -1 if (size(mu) - len(mu)) % 2 else 1
 
 
 @cache

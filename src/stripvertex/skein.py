@@ -170,6 +170,16 @@ def _psi_p(xi, cap: int, ring, inverse: bool) -> SymFunc:
     return hit
 
 
+def _solution_p(alphas, betas, cap: int, ring) -> SymFunc:
+    # solution_element in the power sum basis
+    out = SymFunc.one(ring, cap)
+    for al in alphas:
+        out = out * _psi_p(al, cap, ring, False)
+    for be in betas:
+        out = out * _psi_p(be, cap, ring, True)
+    return out
+
+
 def solution_element(alphas, betas, cap: int, ring=SYMBOLIC) -> SymFunc:
     """Product of dilogarithms prod_i Psi[alpha_i] * prod_j Psi[beta_j]^(-1).
 
@@ -177,9 +187,4 @@ def solution_element(alphas, betas, cap: int, ring=SYMBOLIC) -> SymFunc:
     trivial weight).  The result is the annihilated wavefunction of the
     associated q-difference operator, in the Schur basis.
     """
-    out = SymFunc.one(ring, cap)
-    for al in alphas:
-        out = out * _psi_p(al, cap, ring, False)
-    for be in betas:
-        out = out * _psi_p(be, cap, ring, True)
-    return out.convert("schur")
+    return _solution_p(alphas, betas, cap, ring).convert("schur")

@@ -17,12 +17,10 @@ determinants with a closed-form tail.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 
 from .partitions import (
     Partition,
     character,
-    contains,
     hooks,
     kappa,
     partitions_of,
@@ -85,61 +83,6 @@ def check_report(check: str, residual: TruncatedSeries, checked: int, **fields) 
     rows = [residual._key_row(k) + [str(c)] for k, c in residual.sorted_terms()]
     return {"check": check, **fields, "checked": checked, "residuals": rows,
             "pass": not rows}
-
-
-def hall_pairing(f: SymFunc, g: SymFunc) -> NovikovSeries:
-    """The Hall inner product, extended bilinearly over coefficient series."""
-    a = f.convert("p")
-    b = g.convert("p")
-    ring = f.ring
-    out = NovikovSeries.constant(ring.zero)
-    for mu, c in a.terms.items():
-        d = b.terms.get(mu)
-        if d is None:
-            continue
-        out = out + (c * d).scale(ring.from_fraction(z_factor(mu)))
-    return out
-
-
-@cache
-def _littlewood_richardson(mu: Partition, nu: Partition) -> dict[Partition, int]:
-    """Expansion of s_mu * s_nu in the Schur basis (integer coefficients)."""
-    n = size(mu) + size(nu)
-    prod: dict[Partition, Fraction] = {}
-    for r1 in partitions_of(size(mu)):
-        x1 = character(mu, r1)
-        if not x1:
-            continue
-        c1 = Fraction(x1, z_factor(r1))
-        for r2 in partitions_of(size(nu)):
-            x2 = character(nu, r2)
-            if not x2:
-                continue
-            key = _concat(r1, r2)
-            prod[key] = prod.get(key, Fraction(0)) + c1 * Fraction(x2, z_factor(r2))
-    out: dict[Partition, int] = {}
-    for lam in partitions_of(n):
-        val = sum((c * character(lam, rho) for rho, c in prod.items()), Fraction(0))
-        assert val.denominator == 1
-        if val:
-            out[lam] = int(val)
-    return out
-
-
-def skew_schur(lam: Partition, mu: Partition, ring, cap: int | None = None) -> SymFunc:
-    """The skew Schur function s_{lam/mu} = sum_nu <s_lam, s_mu s_nu> s_nu."""
-    lam, mu = tuple(lam), tuple(mu)
-    if cap is None:
-        cap = size(lam)
-    if not contains(lam, mu):
-        return SymFunc.zero(ring, cap, "schur")
-    n = size(lam) - size(mu)
-    terms: dict[Partition, NovikovSeries] = {}
-    for nu in partitions_of(n):
-        c = _littlewood_richardson(mu, nu).get(lam, 0)
-        if c:
-            terms[nu] = NovikovSeries.constant(ring.from_fraction(c))
-    return SymFunc("schur", terms, cap, ring, clean=True)
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +197,6 @@ def principal_spec_schur_hook(lam: Partition, ring=SYMBOLIC):
     for h in hooks(lam):
         out = out / ring.quantum_int(h)
     return out
-
-
-def sign_transpose_residual(lam: Partition, mu: Partition, ring=SYMBOLIC):
-    """Residual of s_{lam/mu}(q^rho) - (-1)^(|lam|-|mu|) s_{lam'/mu'}(q^-rho)."""
-    lam, mu = tuple(lam), tuple(mu)
-    lhs = principal_spec_skew(lam, mu, (), ring)
-    rhs = principal_spec_skew(transpose(lam), transpose(mu), (), ring).subs_q_inverse()
-    if (size(lam) - size(mu)) % 2:
-        rhs = -rhs
-    return lhs - rhs
 
 
 # ---------------------------------------------------------------------------

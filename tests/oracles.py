@@ -1,0 +1,121 @@
+"""Oracles that only the tests use: partition checks, the Hall pairing, skew Schurs.
+
+Each is an independent route to a quantity the package computes another
+way (Pieri's rule against the product, Littlewood-Richardson coefficients
+from the character table against the skew Jacobi-Trudi specialization),
+so it lives beside the tests rather than in the package.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import cache
+
+from stripvertex.partitions import Partition, character, partitions_of, size, transpose, z_factor
+from stripvertex.scalars import SYMBOLIC, NovikovSeries
+from stripvertex.symfunc import SymFunc, principal_spec_skew
+
+
+# --- partitions -------------------------------------------------------------------
+
+def check_partition(lam) -> Partition:
+    lam = tuple(lam)
+    if any(not isinstance(p, int) or p <= 0 for p in lam):
+        raise ValueError(f"not a partition: {lam!r}")
+    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+        raise ValueError(f"parts must weakly decrease: {lam!r}")
+    return lam
+
+
+def add_box(lam: Partition) -> list[tuple[Partition, int]]:
+    """Partitions covering lam in the Young lattice, with the 1-based row of the new box."""
+    out = []
+    for i in range(len(lam) + 1):
+        cur = lam[i] if i < len(lam) else 0
+        above = lam[i - 1] if i > 0 else None
+        if above is None or cur < above:
+            mu = list(lam)
+            if i < len(lam):
+                mu[i] += 1
+            else:
+                mu.append(1)
+            out.append((tuple(mu), i + 1))
+    return out
+
+
+def contains(lam: Partition, mu: Partition) -> bool:
+    """Whether the diagram of mu fits inside the diagram of lam."""
+    if len(mu) > len(lam):
+        return False
+    return all(mu[i] <= lam[i] for i in range(len(mu)))
+
+
+def epsilon(mu: Partition) -> int:
+    """Sign of a permutation of cycle type mu."""
+    return -1 if (size(mu) - len(mu)) % 2 else 1
+
+
+# --- symmetric functions -------------------------------------------------------------
+
+def hall_pairing(f: SymFunc, g: SymFunc) -> NovikovSeries:
+    """The Hall inner product, extended bilinearly over coefficient series."""
+    a = f.convert("p")
+    b = g.convert("p")
+    ring = f.ring
+    out = NovikovSeries.constant(ring.zero)
+    for mu, c in a.terms.items():
+        d = b.terms.get(mu)
+        if d is None:
+            continue
+        out = out + (c * d).scale(ring.from_fraction(z_factor(mu)))
+    return out
+
+
+@cache
+def _littlewood_richardson(mu: Partition, nu: Partition) -> dict[Partition, int]:
+    """Expansion of s_mu * s_nu in the Schur basis (integer coefficients)."""
+    n = size(mu) + size(nu)
+    prod: dict[Partition, Fraction] = {}
+    for r1 in partitions_of(size(mu)):
+        x1 = character(mu, r1)
+        if not x1:
+            continue
+        c1 = Fraction(x1, z_factor(r1))
+        for r2 in partitions_of(size(nu)):
+            x2 = character(nu, r2)
+            if not x2:
+                continue
+            key = tuple(sorted(r1 + r2, reverse=True))
+            prod[key] = prod.get(key, Fraction(0)) + c1 * Fraction(x2, z_factor(r2))
+    out: dict[Partition, int] = {}
+    for lam in partitions_of(n):
+        val = sum((c * character(lam, rho) for rho, c in prod.items()), Fraction(0))
+        assert val.denominator == 1
+        if val:
+            out[lam] = int(val)
+    return out
+
+
+def skew_schur(lam: Partition, mu: Partition, ring, cap: int | None = None) -> SymFunc:
+    """The skew Schur function s_{lam/mu} = sum_nu <s_lam, s_mu s_nu> s_nu."""
+    lam, mu = tuple(lam), tuple(mu)
+    if cap is None:
+        cap = size(lam)
+    if not contains(lam, mu):
+        return SymFunc.zero(ring, cap, "schur")
+    n = size(lam) - size(mu)
+    terms: dict[Partition, NovikovSeries] = {}
+    for nu in partitions_of(n):
+        c = _littlewood_richardson(mu, nu).get(lam, 0)
+        if c:
+            terms[nu] = NovikovSeries.constant(ring.from_fraction(c))
+    return SymFunc("schur", terms, cap, ring, clean=True)
+
+
+def sign_transpose_residual(lam: Partition, mu: Partition, ring=SYMBOLIC):
+    """Residual of s_{lam/mu}(q^rho) - (-1)^(|lam|-|mu|) s_{lam'/mu'}(q^-rho)."""
+    lam, mu = tuple(lam), tuple(mu)
+    lhs = principal_spec_skew(lam, mu, (), ring)
+    rhs = principal_spec_skew(transpose(lam), transpose(mu), (), ring).subs_q_inverse()
+    if (size(lam) - size(mu)) % 2:
+        rhs = -rhs
+    return lhs - rhs

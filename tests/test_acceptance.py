@@ -279,8 +279,10 @@ def test_criterion_8_one_brane_reconciliation():
     ok = True
     for word in strip_words(4):
         ok = ok and verify_one_brane_match(word, 6)["pass"]
+    for word in strip_words(4):
+        ok = ok and verify_one_brane_match(word, 8, NUMERIC)["pass"]
     elapsed = report(8, ok, t0, "disk closed form equals the recursion "
-                                "solution under q -> 1/q, degree 6, all 15 "
-                                "strips")
+                                "solution under q -> 1/q, degree 6 symbolic "
+                                "and degree 8 numeric, all 15 strips")
     assert ok
     assert elapsed < 120

@@ -18,15 +18,14 @@ from stripvertex.symfunc import (
     SymFunc,
     SymFunc2,
     contract_middle,
-    hall_pairing,
     principal_spec_h,
     principal_spec_schur_hook,
     principal_spec_skew,
-    sign_transpose_residual,
-    skew_schur,
     sym_exp,
     tensor,
 )
+
+from oracles import add_box, hall_pairing, sign_transpose_residual, skew_schur
 
 R = SYMBOLIC
 
@@ -178,7 +177,7 @@ def test_pieri_one_box():
     for lam in pt.enumerate_partitions(4):
         got = SymFunc.schur(lam, R, 5) * SymFunc.schur((1,), R, 5)
         expect = SymFunc.zero(R, 5, "schur")
-        for mu, _ in pt.add_box(lam):
+        for mu, _ in add_box(lam):
             expect = expect + SymFunc.schur(mu, R, 5)
         assert got == expect, f"Pieri failed at {lam}"
 

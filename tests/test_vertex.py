@@ -1,4 +1,5 @@
 """Tests for the trivalent vertex, strip gluing, and product forms."""
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ import pytest
 
 from stripvertex import vertex
 from stripvertex.partitions import enumerate_partitions, size
-from stripvertex.scalars import SYMBOLIC, NovikovSeries, NumericQ
+from stripvertex.scalars import SYMBOLIC, NovikovSeries, NumericQ, Scalar
+from stripvertex.skein import _solution_p, solution_element
 from stripvertex.symfunc import SymFunc2
 from stripvertex.vertex import (
     GLUE_RULES,
@@ -28,6 +30,9 @@ from stripvertex.vertex import (
 )
 
 R = SYMBOLIC
+NUMERIC = NumericQ.from_q(Fraction(9, 4))
+# the 15 strip words of length at most 4
+WORDS = ["A" + "".join(rest) for n in range(4) for rest in itertools.product("AB", repeat=n)]
 
 
 def q_int(n):
@@ -163,9 +168,42 @@ def test_wrong_edge_sign_fails():
 
 
 def test_one_brane_match():
-    for word in ("A", "AB", "AAB"):
-        rep = verify_one_brane_match(word, 4)
-        assert rep["pass"] is True, (word, rep["residuals"][:3])
+    for ring in (R, NUMERIC):
+        for word in ("A", "AB", "AAB"):
+            rep = verify_one_brane_match(word, 4, ring)
+            assert rep["pass"] is True, (ring, word, rep["residuals"][:3])
+
+
+def test_one_brane_sides_compare_alike_in_p_and_schur():
+    # the check compares in p what the public builders return in Schur
+    inv = Scalar.subs_q_inverse
+    for word in WORDS:
+        strip = StripGeometry(word)
+        alphas, betas = strip_params(strip)
+        sol_p = _solution_p(alphas, betas, 4, R)
+        sol = solution_element(alphas, betas, 4)
+        assert sol.map_coeffs(inv) == sol_p.map_coeffs(inv).convert("schur"), word
+        assert len(sol_p.terms) == len(sol.terms), word
+        closed_p = vertex._one_brane_p(strip, 4, R)
+        assert len(closed_p.terms) == len(one_brane_closed_form(strip, 4).terms), word
+
+
+def test_one_brane_numeric_fails_without_inversion(monkeypatch):
+    # build the recursion side at t itself instead of at 1/t
+    monkeypatch.setattr(vertex, "NumericQ", lambda t: NUMERIC)
+    rep = verify_one_brane_match("AB", 3, NUMERIC)
+    assert rep["pass"] is False
+    assert rep["residuals"]
+
+
+def test_one_brane_rings_mix_only_through_the_move():
+    strip = StripGeometry("AB")
+    inverse = NumericQ(1 / NUMERIC.t)
+    closed = vertex._one_brane_p(strip, 3, NUMERIC)
+    sol = _solution_p(*strip_params(strip, inverse), 3, inverse)
+    with pytest.raises(ValueError):
+        closed - sol
+    assert (closed - vertex._into_ring(sol, NUMERIC)).is_zero()
 
 
 @pytest.mark.parametrize("check,key_columns", [
