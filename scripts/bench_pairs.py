@@ -98,7 +98,7 @@ def run_criterion_8(tree: Path) -> dict:
 
 def git_commit(tree: Path) -> str | None:
     out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True,
-                         text=True)
+                         text=True, timeout=30)
     return out.stdout.strip() or None
 
 
