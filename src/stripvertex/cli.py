@@ -28,28 +28,24 @@ from .vertex import (
 
 DEFAULT_CAP = 4
 
-TABLE_COMMANDS = ("vertex", "partition", "closed-form")
-VERIFY_COMMANDS = ("verify-dilog", "verify-two-leg", "verify-strip",
-                   "verify-curve")
-COMMANDS = TABLE_COMMANDS + VERIFY_COMMANDS + ("mirror-curve",)
-NEEDS_TYPES = TABLE_COMMANDS + ("verify-strip", "verify-curve", "mirror-curve")
-
-# Largest truncation each command accepts; a larger one exits with status 2.
-# Work grows faster than exponentially in the cap, so a mistyped cap such as
-# 1000 would otherwise run without bound.  Each ceiling is twice the largest
-# cap the benchmark runs (at numeric q: strip tables 6, closed-form 8,
-# verify-curve 10, verify-dilog 9, verify-two-leg 6).  mirror-curve ignores
-# the cap but checks it like every other command.
+# The command table: every command with the largest truncation it accepts; a
+# larger one exits with status 2.  Work grows faster than exponentially in
+# the cap, so a mistyped cap such as 1000 would otherwise run without bound.
+# Each ceiling is twice the largest cap the benchmark runs (at numeric q:
+# strip tables 6, closed-form 8, verify-curve 10, verify-dilog 9,
+# verify-two-leg 6).  mirror-curve ignores the cap but checks it like every
+# other command.
 MAX_CAP = {
     "vertex": 12,
     "partition": 12,
     "closed-form": 16,
-    "verify-strip": 12,
-    "verify-curve": 20,
     "verify-dilog": 18,
     "verify-two-leg": 12,
+    "verify-strip": 12,
+    "verify-curve": 20,
     "mirror-curve": 20,
 }
+COMMANDS = tuple(MAX_CAP)
 
 
 class JobError(Exception):
@@ -112,7 +108,7 @@ def _resolve_job(args) -> dict:
     ring, q_label = _resolve_ring(q_mode, q_value)
 
     strip = None
-    if command in NEEDS_TYPES:
+    if command not in ("verify-dilog", "verify-two-leg"):
         types = spec.get("types")
         if not isinstance(types, str):
             raise JobError(f"command {command!r} needs a 'types' word "
@@ -137,56 +133,33 @@ def _resolve_job(args) -> dict:
     }
 
 
-def _partition_list(lam) -> list:
-    return [int(p) for p in lam]
-
-
-def _two_brane_table(z) -> list:
+def _table(z, cap: int, branes: str) -> list:
+    # rows [*slot partitions, Q-monomial, scalar], each coefficient at
+    # combined degree <= cap so one- and two-brane tables line up
     rows = []
-    for (l1, l2), series in z.terms.items():
-        for key, scalar in series.sorted_terms():
-            rows.append([_partition_list(l1), _partition_list(l2),
-                         key_string(key), str(scalar)])
-    rows.sort(key=lambda r: (sum(r[0]), r[0], sum(r[1]), r[1], r[2]))
+    for key, series in z.terms.items():
+        slots = key if branes == "two" else (key,)
+        room = cap - sum(map(sum, slots))
+        for mono, scalar in series.truncate(room).sorted_terms():
+            rows.append([*map(list, slots), key_string(mono), str(scalar)])
+    rows.sort(key=lambda r: ([(sum(lam), lam) for lam in r[:-2]], r[-2]))
     return rows
-
-
-def _one_brane_table(f, cap: int) -> list:
-    # emit at combined degree <= cap so one- and two-brane tables line up
-    rows = []
-    for lam, series in f.terms.items():
-        for key, scalar in series.truncate(cap - sum(lam)).sorted_terms():
-            rows.append([_partition_list(lam), key_string(key), str(scalar)])
-    rows.sort(key=lambda r: (sum(r[0]), r[0], r[1]))
-    return rows
-
-
-def _series_strings(entries) -> list:
-    return [str(e) for e in entries]
 
 
 def _run_table(job) -> dict:
     command, strip, cap = job["command"], job["strip"], job["cap"]
     ring, branes = job["ring"], job["branes"]
     if command == "closed-form":
-        if branes == "one":
-            table = _one_brane_table(one_brane_closed_form(strip, cap, ring), cap)
-        else:
-            table = _two_brane_table(closed_form(strip, cap, ring))
+        build = one_brane_closed_form if branes == "one" else closed_form
+        z = build(strip, cap, ring)
     else:
         z = glue_strip(strip, cap, ring, branes=branes)
         if command == "partition":
             z = z_open(z)
-        table = _two_brane_table(z) if branes == "two" else _one_brane_table(
-            z.slice_first(), cap)
-    return {
-        "command": command,
-        "types": strip.types,
-        "cap": cap,
-        "q": job["q"],
-        "branes": branes,
-        "coefficients": table,
-    }
+        if branes == "one":
+            z = z.slice_first()
+    return {"command": command, "types": strip.types, "cap": cap, "q": job["q"],
+            "branes": branes, "coefficients": _table(z, cap, branes)}
 
 
 def _run_verify(job) -> dict:
@@ -198,34 +171,26 @@ def _run_verify(job) -> dict:
                   "reports": reports, "pass": all(r["pass"] for r in reports)}
     elif command == "verify-two-leg":
         report = verify_two_leg_product(cap, ring)
-    elif command == "verify-strip":
-        report = verify_strip_identity(job["strip"].types, cap, ring)
     else:
-        report = verify_annihilation(job["strip"].types, cap, ring)
-    report["command"] = command
-    report["q"] = job["q"]
-    return report
+        check = (verify_strip_identity if command == "verify-strip"
+                 else verify_annihilation)
+        report = check(job["strip"].types, cap, ring)
+    return dict(report, command=command, q=job["q"])
+
+
+def _strings(value):
+    # the curve data with every series printed, nesting kept
+    if isinstance(value, dict):
+        return {k: _strings(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_strings(v) for v in value]
+    return str(value)
 
 
 def _run_mirror_curve(job) -> dict:
-    strip, ring = job["strip"], job["ring"]
-    curve = mirror_and_quantum(strip, ring)
-    return {
-        "command": "mirror-curve",
-        "types": strip.types,
-        "q": job["q"],
-        "alphas": _series_strings(curve["alphas"]),
-        "betas": _series_strings(curve["betas"]),
-        "classical": {
-            "y": _series_strings(curve["classical"]["y"]),
-            "one": _series_strings(curve["classical"]["one"]),
-        },
-        "quantum": {
-            "A": _series_strings(curve["quantum"]["A"]),
-            "B": _series_strings(curve["quantum"]["B"]),
-            "shift": curve["quantum"]["shift"],
-        },
-    }
+    strip = job["strip"]
+    curve = _strings(mirror_and_quantum(strip, job["ring"]))
+    return dict(curve, command="mirror-curve", types=strip.types, q=job["q"])
 
 
 def _emit(payload: dict, out_path) -> None:
@@ -259,21 +224,17 @@ def main(argv=None) -> int:
 
     try:
         job = _resolve_job(args)
-        command = job["command"]
-        if command in TABLE_COMMANDS:
-            payload = _run_table(job)
-            status = 0
-        elif command in VERIFY_COMMANDS:
+        if job["command"].startswith("verify-"):
             payload = _run_verify(job)
-            status = 0 if payload["pass"] else 1
-        else:
+        elif job["command"] == "mirror-curve":
             payload = _run_mirror_curve(job)
-            status = 0
+        else:
+            payload = _run_table(job)
         _emit(payload, job["out"])
     except JobError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return status
+    return 1 if payload.get("pass") is False else 0
 
 
 def main_entry() -> None:

@@ -8,11 +8,11 @@ between the Schur and power sum bases, and the exponential.  This module
 supplies their key hooks: sizes, products and basis rows of partitions.
 
 Basis changes go through the integer character table (power sums to
-Schurs and back), multiplication is concatenation in the power sum basis,
-and the Hall pairing makes the power sums orthogonal with norm z_lambda.
-The module also provides the principal specializations used by the
-vertex: evaluations at q^rho and q^(nu+rho) computed through Jacobi-Trudi
-determinants with a closed-form tail.
+Schurs, and back divided by z_lambda), and multiplication is concatenation
+in the power sum basis.  The module also provides the principal
+specializations used by the vertex: evaluations at q^rho and q^(nu+rho)
+computed through Jacobi-Trudi determinants with a closed-form tail.  The
+Hall pairing and skew Schur functions are test oracles, in tests/oracles.py.
 """
 from __future__ import annotations
 

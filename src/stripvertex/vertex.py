@@ -390,11 +390,16 @@ def verify_one_brane_match(types: str, cap: int, ring=SYMBOLIC) -> dict:
     over Q, and its entries are rational, so it commutes with q -> 1/q.
     The residual is zero in one basis exactly when it is zero in the other;
     only the residual is converted, for the report.  In a numeric ring the
-    recursion side is built at 1/t and its values moved into the ring.
+    recursion side is built at 1/t and its values moved into the ring; the
+    ring at 1/t is kept in the ring's memo, so its own memo outlives one
+    strip word.
     """
     strip = StripGeometry(types)
     if ring.mode == "numeric":
-        inverse = NumericQ(1 / ring.t)
+        key = ("inverse-ring",)
+        if key not in ring.memo:
+            ring.memo[key] = NumericQ(1 / ring.t)
+        inverse = ring.memo[key]
         sol = _into_ring(_solution_p(*strip_params(strip, inverse), cap, inverse), ring)
     else:
         sol = _solution_p(*strip_params(strip, ring), cap, ring).map_coeffs(

@@ -189,11 +189,22 @@ def test_one_brane_sides_compare_alike_in_p_and_schur():
 
 
 def test_one_brane_numeric_fails_without_inversion(monkeypatch):
-    # build the recursion side at t itself instead of at 1/t
-    monkeypatch.setattr(vertex, "NumericQ", lambda t: NUMERIC)
-    rep = verify_one_brane_match("AB", 3, NUMERIC)
+    # build the recursion side at t itself instead of at 1/t, in a fresh
+    # ring whose memo holds no inverse ring yet
+    ring = NumericQ(NUMERIC.t)
+    monkeypatch.setattr(vertex, "NumericQ", lambda t: ring)
+    rep = verify_one_brane_match("AB", 3, ring)
     assert rep["pass"] is False
     assert rep["residuals"]
+
+
+def test_one_brane_numeric_keeps_one_inverse_ring():
+    ring = NumericQ(NUMERIC.t)
+    assert verify_one_brane_match("AB", 2, ring)["pass"]
+    inverse = ring.memo[("inverse-ring",)]
+    assert inverse.t == 1 / ring.t
+    assert verify_one_brane_match("ABA", 2, ring)["pass"]
+    assert ring.memo[("inverse-ring",)] is inverse
 
 
 def test_one_brane_rings_mix_only_through_the_move():
