@@ -3,8 +3,9 @@
 One job per invocation.  A job is described by a JSON file (--spec) and
 tweaked by flags; the result is a JSON document on stdout or at --out.
 Exit status: 0 on success or a passing verification, 1 when a verification
-fails, 2 on malformed input (including a truncation above MAX_CAP) and
-when the result cannot be written to --out.
+fails, 2 on malformed input (including a truncation above MAX_CAP, a strip
+word above MAX_WORD and a spec key outside SPEC_KEYS) and when the result
+cannot be written to --out.
 """
 
 import argparse
@@ -47,6 +48,11 @@ MAX_CAP = {
 }
 COMMANDS = tuple(MAX_CAP)
 
+# The longest strip word accepted, with status 2 past it for the same reason:
+# twice the longest word the benchmark runs (5 letters, mirror-curve).
+MAX_WORD = 10
+SPEC_KEYS = ("command", "types", "truncation", "q_mode", "q_value", "branes", "out")
+
 
 class JobError(Exception):
     """Malformed job description; maps to exit status 2."""
@@ -87,6 +93,10 @@ def _resolve_ring(q_mode, q_value):
 
 def _resolve_job(args) -> dict:
     spec = _load_spec(args.spec) if args.spec else {}
+    unknown = sorted(set(spec) - set(SPEC_KEYS))
+    if unknown:
+        raise JobError(f"unknown spec key {', '.join(map(repr, unknown))}; "
+                       f"the keys are {', '.join(SPEC_KEYS)}")
     command = args.command or spec.get("command")
     if not command:
         raise JobError("no command given (use --command or the spec file)")
@@ -105,6 +115,8 @@ def _resolve_job(args) -> dict:
     q_value = spec.get("q_value")
     if args.numeric_q is not None:
         q_mode, q_value = "numeric", args.numeric_q
+    elif q_mode == "symbolic" and q_value is not None:
+        raise JobError("a q_value needs q_mode 'numeric' or --numeric-q")
     ring, q_label = _resolve_ring(q_mode, q_value)
 
     strip = None
@@ -113,6 +125,9 @@ def _resolve_job(args) -> dict:
         if not isinstance(types, str):
             raise JobError(f"command {command!r} needs a 'types' word "
                            "in the spec file")
+        if len(types) > MAX_WORD:
+            raise JobError(f"strip word of {len(types)} letters is above the "
+                           f"ceiling of {MAX_WORD}")
         try:
             strip = StripGeometry(types)
         except ValueError as exc:

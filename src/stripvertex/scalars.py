@@ -537,7 +537,8 @@ class NumericQ(SymbolicQ):
         return super().monomial(c, 0, a_exp)
 
     def quantum_int(self, n: int) -> LaurentScalar:
-        return self.monomial(self.t ** n - self.t ** (-n))
+        p = self.t ** n
+        return self.monomial(p - 1 / p)
 
     def __eq__(self, other):
         return isinstance(other, NumericQ) and other.t == self.t

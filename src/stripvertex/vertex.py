@@ -22,7 +22,7 @@ from .partitions import (
     subpartitions,
     transpose,
 )
-from .scalars import SYMBOLIC, NovikovSeries, NumericQ
+from .scalars import SYMBOLIC, NovikovSeries
 from .skein import _solution_p, disk_weight
 from .symfunc import SymFunc, SymFunc2, check_report, principal_spec_skew, sym_exp
 
@@ -354,19 +354,6 @@ def _compare(check: str, lhs, rhs, **fields) -> dict:
                         len(lhs.terms.keys() | rhs.terms.keys()), **fields)
 
 
-def _into_ring(f: SymFunc, ring) -> SymFunc:
-    """f with every value moved into the numeric ring `ring`.
-
-    A numeric value holds no power of t, so its num and den stand for the
-    same Laurent polynomial in a whichever value of t its ring pins.
-    """
-    def move(c: NovikovSeries) -> NovikovSeries:
-        return NovikovSeries({k: type(s)(s.num, s.den, ring, reduced=True)
-                              for k, s in c.terms.items()}, ring, c.cap, clean=True)
-    return SymFunc(f.basis, {k: move(c) for k, c in f.terms.items()}, f.cap, ring,
-                   clean=True)
-
-
 def verify_two_leg_product(cap: int, ring=SYMBOLIC) -> dict:
     """Raw one-vertex series against its triple product form."""
     return _compare("two-leg-product", two_leg_vertex_series(cap, ring),
@@ -381,28 +368,22 @@ def verify_strip_identity(types: str, cap: int, ring=SYMBOLIC) -> dict:
 
 
 def verify_one_brane_match(types: str, cap: int, ring=SYMBOLIC) -> dict:
-    """One-boundary closed form against the meridian-recursion solution.
+    """One-boundary closed form against the dilogarithm product, lists exchanged.
 
-    The recursion solution built from the strip's interval monomials agrees
-    with the disk-only closed form after inverting q in every coefficient.
-    Both sides are built, and compared, in the power sum basis.  This is
-    the same check as in the Schur basis: the change of basis is invertible
-    over Q, and its entries are rational, so it commutes with q -> 1/q.
-    The residual is zero in one basis exactly when it is zero in the other;
-    only the residual is converted, for the report.  In a numeric ring the
-    recursion side is built at 1/t and its values moved into the ring; the
-    ring at 1/t is kept in the ring's memo, so its own memo outlives one
-    strip word.
+    The disk-only closed form equals the recursion solution
+    prod Psi[alpha] * prod Psi[beta]^(-1) after q -> 1/q in every
+    coefficient.  That image is the same product with the two lists
+    exchanged: {h} -> -{h} under t -> 1/t and lam has |lam| hooks, so the
+    s_lam coefficient (-1)^|lam| t^(-kappa/2) / prod {h} of Psi[xi] goes to
+    t^(kappa/2) / prod {h}, the coefficient of Psi[xi]^(-1) (the inversion
+    relation of the quantum dilogarithm).  So both sides are built in the
+    ring given, in one code path for every lane, and stay independent: the
+    exponential of the disk rows against hook-content products.  They are
+    compared in the power sum basis; the change of basis is invertible over
+    Q, so the residual is zero there exactly when it is zero in the Schur
+    basis, and only the residual is converted, for the report.
     """
     strip = StripGeometry(types)
-    if ring.mode == "numeric":
-        key = ("inverse-ring",)
-        if key not in ring.memo:
-            ring.memo[key] = NumericQ(1 / ring.t)
-        inverse = ring.memo[key]
-        sol = _into_ring(_solution_p(*strip_params(strip, inverse), cap, inverse), ring)
-    else:
-        sol = _solution_p(*strip_params(strip, ring), cap, ring).map_coeffs(
-            lambda s: s.subs_q_inverse())
-    return _compare("one-brane-skein-match", _one_brane_p(strip, cap, ring), sol,
-                    types=types, cap=cap)
+    alphas, betas = strip_params(strip, ring)
+    return _compare("one-brane-skein-match", _one_brane_p(strip, cap, ring),
+                    _solution_p(betas, alphas, cap, ring), types=types, cap=cap)

@@ -1,6 +1,8 @@
 """The paired-run summary of scripts/bench_pairs.py: wins, spread and the claim rule."""
 import importlib.util
+import json
 from pathlib import Path
+from types import SimpleNamespace
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 
@@ -33,3 +35,22 @@ def test_summary_needs_a_gap_beyond_the_parent_spread():
     s = summarize(parent, change, "lower")
     assert s["win_fraction"] == 1.0
     assert s["claim_holds"] is False
+
+
+def test_criterion_8_reports_both_lanes(monkeypatch):
+    module = _load_script()
+    compile(module.CRITERION_8_CODE, "criterion-8", "exec")
+    printed = {"cpu_s": 2.0, "wall_s": 2.1, "numeric_cpu_s": 1.5, "pass": True}
+
+    def fake_run(argv, **kwargs):
+        assert kwargs["env"]["PYTHONPATH"].endswith("src")
+        return SimpleNamespace(stdout="noise\n" + json.dumps(printed) + "\n")
+
+    monkeypatch.setattr(module.subprocess, "run", fake_run)
+    run = module.run_criterion_8(Path("tree"))
+    assert run == {"values": {"cpu_s": 2.0, "wall_s": 2.1, "numeric_cpu_s": 1.5},
+                   "failed": 0, "attempted": 1}
+    assert set(module.CRITERION_8_METRICS) == set(run["values"])
+    # a failing check in either lane fails the run
+    printed["pass"] = False
+    assert module.run_criterion_8(Path("tree"))["failed"] == 1

@@ -63,6 +63,20 @@ def test_invalid_inputs_exit_two(tmp_path, capsys, monkeypatch):
     bad_cap = write_spec(tmp_path, "e.json", types="AB", command="vertex",
                          truncation=-1)
     assert run_cli(capsys, "--spec", bad_cap)[0] == 2
+    # a misspelled key is named, not read as its default
+    typo = write_spec(tmp_path, "g.json", types="AB", command="verify-strip",
+                      truncaton=9)
+    status, out = run_cli(capsys, "--spec", typo)
+    assert status == 2
+    assert "'truncaton'" in out.err
+    # a q_value is refused when q_mode is symbolic, given or defaulted ...
+    for extra in ({}, {"q_mode": "symbolic"}):
+        stray_q = write_spec(tmp_path, "h.json", types="AB", command="vertex",
+                             q_value="9/4", **extra)
+        assert run_cli(capsys, "--spec", stray_q)[0] == 2, extra
+    # ... but --numeric-q overrides the spec's q fields
+    assert run_cli(capsys, "--spec", stray_q, "--cap", "1",
+                   "--numeric-q", "9/4")[0] == 0
     # an output file that cannot be written is a job error, not a failed check
     status, out = run_cli(capsys, "--command", "verify-dilog", "--cap", "2",
                           "--out", str(tmp_path / "missing" / "x.json"))
@@ -81,6 +95,14 @@ def test_invalid_inputs_exit_two(tmp_path, capsys, monkeypatch):
         status = run_cli(capsys, "--spec", huge_cap, "--command", command,
                          "--cap", str(ceiling + 1))[0]
         assert status == 2, command
+    # and so must a strip word above the ceiling, for every command taking one
+    long_word = write_spec(tmp_path, "i.json", types="A" * (cli.MAX_WORD + 1),
+                           command="vertex", truncation=1)
+    for command in cli.COMMANDS:
+        if command not in ("verify-dilog", "verify-two-leg"):
+            status, out = run_cli(capsys, "--spec", long_word, "--command", command)
+            assert status == 2, command
+            assert "ceiling" in out.err, command
     # argparse rejects names outside the command list
     with pytest.raises(SystemExit) as err:
         cli.main(["--command", "verify-everything"])

@@ -5,7 +5,7 @@ import pytest
 
 from stripvertex import partitions as pt
 from stripvertex import skein
-from stripvertex.scalars import SYMBOLIC, NovikovSeries, NumericQ
+from stripvertex.scalars import SYMBOLIC, NovikovSeries, NumericQ, Scalar
 from stripvertex.skein import (
     formal,
     meridian_eigenvalue,
@@ -72,6 +72,16 @@ def test_psi_forms_agree_numeric():
     ring = NumericQ(Fraction(5, 3))
     xi = formal("xi", ring)
     assert psi(xi, 3, ring) == psi(xi, 3, ring, form="exponential")
+
+
+@pytest.mark.parametrize("form", ["product", "exponential"])
+def test_psi_inverts_under_q_inverse(form):
+    # the quantum dilogarithm inversion relation: q -> 1/q sends Psi[xi] to
+    # Psi[xi]^(-1); the image differs from Psi[xi], so the check is not empty
+    xi = formal("xi")
+    image = psi(xi, 8, form=form).map_coeffs(Scalar.subs_q_inverse)
+    assert image == psi_inverse(xi, 8, form=form)
+    assert image != psi(xi, 8, form=form)
 
 
 def test_psi_product_inverse():

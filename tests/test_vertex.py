@@ -188,33 +188,26 @@ def test_one_brane_sides_compare_alike_in_p_and_schur():
         assert len(closed_p.terms) == len(one_brane_closed_form(strip, 4).terms), word
 
 
-def test_one_brane_numeric_fails_without_inversion(monkeypatch):
-    # build the recursion side at t itself instead of at 1/t, in a fresh
-    # ring whose memo holds no inverse ring yet
-    ring = NumericQ(NUMERIC.t)
-    monkeypatch.setattr(vertex, "NumericQ", lambda t: ring)
+def test_one_brane_solution_inverts_by_exchanging_lists():
+    # q -> 1/q maps prod Psi[alpha] * prod Psi[beta]^(-1) to the product
+    # with alpha and beta exchanged, which criterion 8 compares against
+    inv = Scalar.subs_q_inverse
+    for word in WORDS:
+        alphas, betas = strip_params(StripGeometry(word))
+        image = solution_element(alphas, betas, 4).map_coeffs(inv)
+        assert image == solution_element(betas, alphas, 4), word
+
+
+@pytest.mark.parametrize("ring", [R, NUMERIC], ids=["symbolic", "numeric"])
+def test_one_brane_fails_without_the_exchange(monkeypatch, ring):
+    # with alpha and beta unexchanged the recursion side is the product
+    # itself, not its q -> 1/q image
+    build = vertex._solution_p
+    monkeypatch.setattr(vertex, "_solution_p",
+                        lambda alphas, betas, *rest: build(betas, alphas, *rest))
     rep = verify_one_brane_match("AB", 3, ring)
     assert rep["pass"] is False
     assert rep["residuals"]
-
-
-def test_one_brane_numeric_keeps_one_inverse_ring():
-    ring = NumericQ(NUMERIC.t)
-    assert verify_one_brane_match("AB", 2, ring)["pass"]
-    inverse = ring.memo[("inverse-ring",)]
-    assert inverse.t == 1 / ring.t
-    assert verify_one_brane_match("ABA", 2, ring)["pass"]
-    assert ring.memo[("inverse-ring",)] is inverse
-
-
-def test_one_brane_rings_mix_only_through_the_move():
-    strip = StripGeometry("AB")
-    inverse = NumericQ(1 / NUMERIC.t)
-    closed = vertex._one_brane_p(strip, 3, NUMERIC)
-    sol = _solution_p(*strip_params(strip, inverse), 3, inverse)
-    with pytest.raises(ValueError):
-        closed - sol
-    assert (closed - vertex._into_ring(sol, NUMERIC)).is_zero()
 
 
 @pytest.mark.parametrize("check,key_columns", [
