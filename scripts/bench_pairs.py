@@ -2,7 +2,7 @@
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N \
         --seed S --out FILE
-    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload criterion-8 \
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload criterion-6 \
         --pairs N --out FILE
 
 Runs `benchmark/run.py --workload W --seed S` alternately in the two trees,
@@ -15,12 +15,18 @@ provenance: Python version, core count and both trees' commits.  Entries
 for other workloads already in FILE are kept, so one file collects several
 invocations.  The benchmark itself is only run, never edited.
 
-The workload `criterion-8` is not one of the benchmark's: each of its runs
-starts a fresh process, clears the symbolic ring's memo and times
-`verify_one_brane_match` on the 15 strip words of length at most 4 in both
-lanes of acceptance criterion 8: at cap 6, symbolic q, reported as `cpu_s`
-(CPU time) and `wall_s` (wall time), then at cap 8, q = 9/4, in a fresh
-NumericQ ring, reported as `numeric_cpu_s`.
+The workloads of IN_TREE are not the benchmark's and take no seed.  Each
+run is one fresh process from the tree's sources that prints its metrics:
+  * `criterion-6` and `criterion-8` time the check of acceptance criterion
+    6 (`verify_annihilation`, x^8 symbolic, x^16 at q = 9/4) or 8
+    (`verify_one_brane_match`, cap 6 symbolic, cap 8 at q = 9/4) on the 15
+    strip words of length at most 4, with the symbolic ring's memo cleared
+    and a fresh NumericQ ring: `cpu_s` (CPU time) and `wall_s` (wall time)
+    of the symbolic lane, `numeric_cpu_s` of the numeric one; a run fails
+    when either lane's check does;
+  * `import` imports stripvertex and exits: `import_s` is the import
+    itself, `process_s` the wall time of the whole process, as the
+    benchmark's `setup_s` takes it.
 """
 from __future__ import annotations
 
@@ -32,26 +38,41 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
-CRITERION_8 = "criterion-8"
-CRITERION_8_CODE = """
+_LANES_CODE = """
 import json
 from time import perf_counter, process_time
 from stripvertex.scalars import SYMBOLIC, NumericQ
-from stripvertex.vertex import verify_one_brane_match
+from stripvertex.{module} import {check} as check
 words = ["A" + "".join("AB"[(bits >> i) & 1] for i in range(n - 1))
          for n in range(1, 5) for bits in range(1 << (n - 1))]
 SYMBOLIC.memo.clear()
 wall, cpu = perf_counter(), process_time()
-ok = all(verify_one_brane_match(w, 6)["pass"] for w in words)
+ok = all(check(w, {symbolic_cap})["pass"] for w in words)
 cpu_s, wall_s = process_time() - cpu, perf_counter() - wall
 ring = NumericQ.from_q("9/4")
 cpu = process_time()
-ok = all(verify_one_brane_match(w, 8, ring)["pass"] for w in words) and ok
-print(json.dumps({"cpu_s": cpu_s, "wall_s": wall_s,
-                  "numeric_cpu_s": process_time() - cpu, "pass": ok}))
+ok = all(check(w, {numeric_cap}, ring)["pass"] for w in words) and ok
+print(json.dumps({{"cpu_s": cpu_s, "wall_s": wall_s,
+                  "numeric_cpu_s": process_time() - cpu, "pass": ok}}))
 """
-CRITERION_8_METRICS = {"cpu_s": "lower", "wall_s": "lower", "numeric_cpu_s": "lower"}
+_LANES_METRICS = {"cpu_s": "lower", "wall_s": "lower", "numeric_cpu_s": "lower"}
+_IMPORT_CODE = """
+import json
+from time import perf_counter
+start = perf_counter()
+import stripvertex
+print(json.dumps({"import_s": perf_counter() - start, "pass": True}))
+"""
+# workload: (the code its fresh process runs, {metric: better})
+IN_TREE = {
+    "criterion-6": (_LANES_CODE.format(module="qdiff", check="verify_annihilation",
+                                       symbolic_cap=8, numeric_cap=16), _LANES_METRICS),
+    "criterion-8": (_LANES_CODE.format(module="vertex", check="verify_one_brane_match",
+                                       symbolic_cap=6, numeric_cap=8), _LANES_METRICS),
+    "import": (_IMPORT_CODE, {"import_s": "lower", "process_s": "lower"}),
+}
 RUN_TIMEOUT_S = 600
 
 
@@ -91,18 +112,21 @@ def run_benchmark(tree: Path, workload: str, seed: int) -> dict:
     return {"values": values, "failed": record["failed"], "attempted": record["attempted"]}
 
 
-def run_criterion_8(tree: Path) -> dict:
-    """One timed run of criterion 8 in a fresh process, from tree's sources.
+def run_in_tree(tree: Path, workload: str) -> dict:
+    """One run of an IN_TREE workload in a fresh process, from tree's sources.
 
-    The symbolic lane gives cpu_s and wall_s, the numeric lane numeric_cpu_s;
-    the run fails when either lane's check does.
+    The process prints its metrics as the last line of JSON; the wall time
+    of the whole process is process_s.
     """
+    code, metrics = IN_TREE[workload]
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    out = subprocess.run([sys.executable, "-c", CRITERION_8_CODE], cwd=tree, env=env,
+    start = perf_counter()
+    out = subprocess.run([sys.executable, "-c", code], cwd=tree, env=env,
                          check=True, capture_output=True, text=True,
                          timeout=RUN_TIMEOUT_S)
-    result = json.loads(out.stdout.strip().splitlines()[-1])
-    values = {name: result[name] for name in CRITERION_8_METRICS}
+    result = dict(json.loads(out.stdout.strip().splitlines()[-1]),
+                  process_s=perf_counter() - start)
+    values = {name: result[name] for name in metrics}
     return {"values": values, "failed": 0 if result["pass"] else 1, "attempted": 1}
 
 
@@ -123,13 +147,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    if args.seed is None and args.workload != CRITERION_8:
+    if args.seed is None and args.workload not in IN_TREE:
         parser.error(f"--seed is required for the benchmark's workload {args.workload!r}")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
-    if args.workload == CRITERION_8:
-        metrics = CRITERION_8_METRICS
-        run = run_criterion_8
+    if args.workload in IN_TREE:
+        metrics = IN_TREE[args.workload][1]
+
+        def run(tree):
+            return run_in_tree(tree, args.workload)
     else:
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
         metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}

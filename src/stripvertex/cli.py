@@ -21,7 +21,6 @@ from .vertex import (
     closed_form,
     glue_strip,
     mirror_and_quantum,
-    one_brane_closed_form,
     verify_strip_identity,
     verify_two_leg_product,
     z_open,
@@ -164,15 +163,12 @@ def _table(z, cap: int, branes: str) -> list:
 def _run_table(job) -> dict:
     command, strip, cap = job["command"], job["strip"], job["cap"]
     ring, branes = job["ring"], job["branes"]
-    if command == "closed-form":
-        build = one_brane_closed_form if branes == "one" else closed_form
-        z = build(strip, cap, ring)
-    else:
-        z = glue_strip(strip, cap, ring, branes=branes)
-        if command == "partition":
-            z = z_open(z)
-        if branes == "one":
-            z = z.slice_first()
+    z = (closed_form if command == "closed-form" else glue_strip)(strip, cap, ring,
+                                                                  branes=branes)
+    if command == "partition":
+        z = z_open(z)
+    if branes == "one":
+        z = z.slice_first()
     return {"command": command, "types": strip.types, "cap": cap, "q": job["q"],
             "branes": branes, "coefficients": _table(z, cap, branes)}
 

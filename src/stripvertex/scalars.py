@@ -17,8 +17,11 @@ The common factor is found with the primitive polynomial remainder
 sequence over the integers (Brown 1971; Knuth TAOCP vol. 2, 4.6.1) and
 divided out exactly in Z[t].  Most reductions have no common factor; an
 integer evaluation past the roots of den proves that first, without the
-remainder sequence.  Printing divides out the content of den, so a scalar
-prints as rational coefficients over a primitive denominator.
+remainder sequence.  A sum, product or quotient of two one-term values
+c * t^i * a^j / d (den {0: d}, as every monomial and almost every numeric
+value is) skips the reduction: one integer gcd gives its canonical form.
+Printing divides out the content of den, so a scalar prints as rational
+coefficients over a primitive denominator.
 
 A numeric ring pins t to a rational value while a stays formal.  Its
 scalars, LaurentScalar, are this same normal form with t pinned: every t
@@ -208,7 +211,9 @@ def _reduce(num: dict[tuple[int, int], int],
     The input is what the arithmetic produces: nonzero int coefficients and
     min(den) == 0 (a Scalar built by hand passes _clean_input first).  A
     one-term den, which every numeric value has, reduces by its integer
-    content alone; the numeric lane is this same form with t pinned.
+    content alone; the numeric lane is this same form with t pinned.  The
+    arithmetic does not call this for two one-term operands: Scalar's
+    +, * and / write that canonical form directly, with one gcd.
     """
     if not num:
         return {}, _DEN_ONE
@@ -271,10 +276,10 @@ class Scalar:
         self.den = den
         self.ring = ring
 
-    def _new(self, num, den) -> "Scalar":
+    def _new(self, num, den, reduced: bool = False) -> "Scalar":
         # a result of the arithmetic, in self's class and ring
         out = object.__new__(type(self))
-        out.num, out.den = _reduce(num, den)
+        out.num, out.den = (num, den) if reduced else _reduce(num, den)
         out.ring = self.ring
         return out
 
@@ -288,7 +293,22 @@ class Scalar:
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other: "Scalar") -> "Scalar":
         onum, oden = _operand(self, other)
-        den = self.den
+        num, den = self.num, self.den
+        if len(num) == 1 == len(onum) and len(den) == 1 == len(oden):
+            # one term each over integers: one gcd gives the canonical form
+            (k1, c1), = num.items()
+            (k2, c2), = onum.items()
+            d1, d2 = den[0], oden[0]
+            if k1 == k2:
+                c, d = c1 * d2 + c2 * d1, d1 * d2
+                if not c:
+                    return self._new({}, _DEN_ONE, True)
+                g = gcd(c, d)
+                return self._new({k1: c // g}, {0: d // g}, True)
+            # c1 is prime to d1 and c2 to d2, so the content is gcd(d1, d2)
+            g = gcd(d1, d2)
+            return self._new({k1: c1 * (d2 // g), k2: c2 * (d1 // g)}, {0: d1 // g * d2},
+                             True)
         if den == oden:
             return self._new(_num_add(self.num, onum), den)
         if len(den) == 1 == len(oden):
@@ -310,10 +330,22 @@ class Scalar:
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         onum, oden = _operand(self, other)
+        if len(self.num) == 1 == len(onum) and len(self.den) == 1 == len(oden):
+            ((t1, a1), c1), = self.num.items()
+            ((t2, a2), c2), = onum.items()
+            c, d = c1 * c2, self.den[0] * oden[0]
+            g = gcd(c, d)
+            return self._new({(t1 + t2, a1 + a2): c // g}, {0: d // g}, True)
         return self._new(_num_mul(self.num, onum), _poly_mul(self.den, oden))
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         onum, oden = _operand(self, other)
+        if len(self.num) == 1 == len(onum) and len(self.den) == 1 == len(oden):
+            ((t1, a1), c1), = self.num.items()
+            ((t2, a2), c2), = onum.items()
+            c, d = c1 * oden[0], self.den[0] * c2
+            g = gcd(c, d) if d > 0 else -gcd(c, d)  # the divisor's sign moves into num
+            return self._new({(t1 - t2, a1 - a2): c // g}, {0: d // g}, True)
         if not onum:
             raise ZeroDivisionError("division by zero scalar")
         aexps = {ae for (_, ae) in onum}

@@ -164,6 +164,11 @@ def _partition_tuples(slots: int, budget: int):
             yield (head,) + tail, h + t
 
 
+def _check_branes(branes: str) -> None:
+    if branes not in ("one", "two"):
+        raise ValueError("branes must be 'one' or 'two'")
+
+
 def glue_strip(strip: StripGeometry, cap: int, ring=SYMBOLIC,
                branes: str = "two", rules=None) -> SymFunc2:
     """Unnormalized chain sum over all edge and boundary partitions.
@@ -175,8 +180,7 @@ def glue_strip(strip: StripGeometry, cap: int, ring=SYMBOLIC,
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    if branes not in ("one", "two"):
-        raise ValueError("branes must be 'one' or 'two'")
+    _check_branes(branes)
     if rules is None:
         rules = GLUE_RULES
     word = strip.types
@@ -233,14 +237,19 @@ def _disk_sign_second(vt: str, last: str, d: int) -> int:
     return -1 if vt == "A" else 1
 
 
-def closed_form(strip: StripGeometry, cap: int, ring=SYMBOLIC) -> SymFunc2:
+def closed_form(strip: StripGeometry, cap: int, ring=SYMBOLIC,
+                branes: str = "two") -> SymFunc2:
     """The two-boundary series as one plethystic exponential, truncated.
 
     The exponent collects, for every multiple-cover degree d: disk terms
     from each vertex to either boundary with coefficient +-Q^d / (d {d}),
     and annulus terms joining the two boundaries with coefficient
     +-Q^d / d, the signs and intervals depending on the vertex types.
+    With branes="one", as in glue_strip, the exponent keeps only the disk
+    rows against the first boundary: the result holds the keys (lam, ())
+    of the two-boundary series alone, with the same coefficients.
     """
+    _check_branes(branes)
     word = strip.types
     n = len(word)
     log = SymFunc2.zero(ring, cap, "p")
@@ -248,6 +257,8 @@ def closed_form(strip: StripGeometry, cap: int, ring=SYMBOLIC) -> SymFunc2:
     for d in range(1, cap + 1):
         disk = disk_weight(d, ring)
         log.add_term(((d,), ()), strip.disk_row(d, disk))
+        if branes == "one":
+            continue
         row2 = NovikovSeries.constant(ring.zero)
         for k, vt in enumerate(word, 1):
             m2 = strip.q_interval(k, n, ring, d)
@@ -270,7 +281,11 @@ def one_brane_closed_form(strip: StripGeometry, cap: int, ring=SYMBOLIC) -> SymF
 
     Equal to the second-boundary-empty slice of closed_form, but computed
     without combined-degree truncation: coefficients are exact polynomials
-    in the Q's for every |lam| <= cap.
+    in the Q's for every |lam| <= cap.  The CLI's one-brane table is built
+    by closed_form(..., branes="one") at combined degree instead; this exact
+    form is kept for the package API and as the independent side of that
+    table's tests, and its power sum form is the closed-form side of
+    verify_one_brane_match.
     """
     return _one_brane_p(strip, cap, ring).convert("schur")
 

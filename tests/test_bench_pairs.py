@@ -37,20 +37,49 @@ def test_summary_needs_a_gap_beyond_the_parent_spread():
     assert s["claim_holds"] is False
 
 
-def test_criterion_8_reports_both_lanes(monkeypatch):
-    module = _load_script()
-    compile(module.CRITERION_8_CODE, "criterion-8", "exec")
-    printed = {"cpu_s": 2.0, "wall_s": 2.1, "numeric_cpu_s": 1.5, "pass": True}
-
+def _stub_run(monkeypatch, module, printed):
+    # each subprocess prints noise, then its metrics as one line of JSON
     def fake_run(argv, **kwargs):
         assert kwargs["env"]["PYTHONPATH"].endswith("src")
         return SimpleNamespace(stdout="noise\n" + json.dumps(printed) + "\n")
 
     monkeypatch.setattr(module.subprocess, "run", fake_run)
-    run = module.run_criterion_8(Path("tree"))
+
+
+def _check_both_lanes(monkeypatch, workload):
+    module = _load_script()
+    code, metrics = module.IN_TREE[workload]
+    compile(code, workload, "exec")
+    printed = {"cpu_s": 2.0, "wall_s": 2.1, "numeric_cpu_s": 1.5, "pass": True}
+    _stub_run(monkeypatch, module, printed)
+    run = module.run_in_tree(Path("tree"), workload)
     assert run == {"values": {"cpu_s": 2.0, "wall_s": 2.1, "numeric_cpu_s": 1.5},
                    "failed": 0, "attempted": 1}
-    assert set(module.CRITERION_8_METRICS) == set(run["values"])
+    assert set(metrics) == set(run["values"])
     # a failing check in either lane fails the run
     printed["pass"] = False
-    assert module.run_criterion_8(Path("tree"))["failed"] == 1
+    assert module.run_in_tree(Path("tree"), workload)["failed"] == 1
+    return code
+
+
+def test_criterion_8_reports_both_lanes(monkeypatch):
+    code = _check_both_lanes(monkeypatch, "criterion-8")
+    assert "verify_one_brane_match" in code and "check(w, 6)" in code
+    assert "check(w, 8, ring)" in code
+
+
+def test_criterion_6_reports_both_lanes(monkeypatch):
+    code = _check_both_lanes(monkeypatch, "criterion-6")
+    assert "verify_annihilation" in code and "check(w, 8)" in code
+    assert "check(w, 16, ring)" in code
+
+
+def test_import_reports_import_and_process_time(monkeypatch):
+    module = _load_script()
+    code, metrics = module.IN_TREE["import"]
+    compile(code, "import", "exec")
+    _stub_run(monkeypatch, module, {"import_s": 0.01, "pass": True})
+    run = module.run_in_tree(Path("tree"), "import")
+    assert set(run["values"]) == set(metrics) == {"import_s", "process_s"}
+    assert run["values"]["import_s"] == 0.01 and run["values"]["process_s"] >= 0
+    assert run["failed"] == 0

@@ -20,7 +20,7 @@ from math import gcd
 import pytest
 
 from stripvertex.partitions import enumerate_partitions
-from stripvertex.scalars import SYMBOLIC, Scalar
+from stripvertex.scalars import SYMBOLIC, NumericQ, Scalar
 from stripvertex.symfunc import principal_spec_h, principal_spec_skew
 
 sympy = pytest.importorskip("sympy")
@@ -225,6 +225,86 @@ def test_rational_constants_print_as_fractions():
     assert str(half) == "1/2"
     x = (R.t_power(1) * R.from_fraction(Fraction(-3, 4))) / (R.one + R.t_power(2))
     assert str(x) == "(-3/4*t)/(1 + t^2)"
+
+
+# --- one-term values: the integer path of +, - , * and / ---------------------
+
+NUMERIC = NumericQ.from_q(Fraction(9, 4))
+# each lane with the value of t in the oracle: symbolic, or pinned to 3/2
+LANES = [(R, T), (NUMERIC, sympy.Rational(3, 2))]
+
+
+def random_monomial(rng, ring, tv, key=None):
+    """c t^i a^j as a scalar, as a sympy value, and as (key, c) in the lane's terms.
+
+    The numeric lane folds t^i into c, so its key is (0, j).
+    """
+    c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 12))
+    te, ae = key or (rng.randint(-3, 3), rng.randint(-2, 2))
+    value = sympy.Rational(c.numerator, c.denominator) * tv ** te * A ** ae
+    lane = ((te, ae), c) if ring is R else ((0, ae), c * NUMERIC.t ** te)
+    return ring.monomial(c, te, ae), K(value), lane
+
+
+def _by_hand(ring, terms):
+    # the Scalar of ring with these rational terms over 1, reduced by _reduce
+    return ring._scalar(terms, {0: 1}, ring)
+
+
+def _add_keys(k1, k2, sign=1):
+    return (k1[0] + sign * k2[0], k1[1] + sign * k2[1])
+
+
+@pytest.mark.parametrize("ring,tv", LANES, ids=["symbolic", "numeric"])
+def test_one_term_arithmetic_matches_sympy(ring, tv):
+    rng = random.Random(71)
+    for i in range(150):
+        x, xs, (k1, c1) = random_monomial(rng, ring, tv)
+        # every third pair shares its monomial key
+        same = (k1 if ring is R else (rng.randint(-3, 3), k1[1])) if i % 3 == 0 else None
+        y, ys, (k2, c2) = random_monomial(rng, ring, tv, same)
+        if k1 == k2:
+            total, diff = {k1: c1 + c2}, {k1: c1 - c2}
+        else:
+            total, diff = {k1: c1, k2: c2}, {k1: c1, k2: -c2}
+        cases = [(x * y, xs * ys, {_add_keys(k1, k2): c1 * c2}),
+                 (x + y, xs + ys, total), (x - y, xs - ys, diff),
+                 (x / y, xs / ys, {_add_keys(k1, k2, -1): c1 / c2})]
+        for got, want, terms in cases:
+            assert type(got) is ring._scalar
+            assert_canonical(got)
+            assert_same(got, want)
+            hand = _by_hand(ring, terms)
+            assert got == hand and hash(got) == hash(hand) and str(got) == str(hand)
+
+
+@pytest.mark.parametrize("ring,tv", LANES, ids=["symbolic", "numeric"])
+def test_one_term_sum_cancels_to_canonical_zero(ring, tv):
+    rng = random.Random(73)
+    for _ in range(40):
+        x, _, (key, c) = random_monomial(rng, ring, tv)
+        minus = ring._scalar({key: -c}, {0: 1}, ring)
+        for got in (x + minus, minus + x, x - x):
+            assert not got
+            assert got.num == {} and got.den == {0: 1}
+            assert got == ring.zero and hash(got) == hash(ring.zero) and str(got) == "0"
+
+
+@pytest.mark.parametrize("ring,tv", LANES, ids=["symbolic", "numeric"])
+def test_one_term_negative_divisor_moves_its_sign_into_num(ring, tv):
+    half = ring.monomial(Fraction(-1, 2))
+    got = ring.monomial(Fraction(3, 4), 0, 1) / half
+    assert got.num == {(0, 1): -3} and got.den == {0: 2}
+    rng = random.Random(79)
+    for _ in range(40):
+        x, xs, _ = random_monomial(rng, ring, tv)
+        y, ys, _ = random_monomial(rng, ring, tv)
+        if y.num[next(iter(y.num))] > 0:
+            y, ys = -y, -ys
+        got = x / y
+        assert got.den[0] > 0
+        assert_canonical(got)
+        assert_same(got, xs / ys)
 
 
 # --- principal specializations -------------------------------------------------

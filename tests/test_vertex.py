@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from stripvertex import vertex
+from stripvertex import cli, vertex
 from stripvertex.partitions import enumerate_partitions, size
 from stripvertex.scalars import SYMBOLIC, NovikovSeries, NumericQ, Scalar
 from stripvertex.skein import _solution_p, solution_element
@@ -235,6 +235,27 @@ def test_one_brane_closed_form_slices_two_brane():
     part = one_brane_closed_form(s, cap)
     for lam, c in whole.slice_first().terms.items():
         assert part.coefficient(lam).truncate(c.cap) == c
+
+
+@pytest.mark.parametrize("ring", [R, NUMERIC], ids=["symbolic", "numeric"])
+def test_one_brane_closed_form_at_combined_degree(ring):
+    # the first-slot build equals the two-brane slice, and its table equals
+    # the table of the exact one-alphabet product
+    cap = 4
+    for word in WORDS:
+        s = StripGeometry(word)
+        one = closed_form(s, cap, ring, branes="one")
+        assert {l2 for _, l2 in one.terms} == {()}, word
+        one = one.slice_first()
+        assert one == closed_form(s, cap, ring).slice_first(), word
+        exact = one_brane_closed_form(s, cap, ring)
+        assert cli._table(one, cap, "one") == cli._table(exact, cap, "one"), word
+
+
+@pytest.mark.parametrize("build", [glue_strip, closed_form])
+def test_builders_refuse_an_unknown_brane_count(build):
+    with pytest.raises(ValueError, match="branes must be 'one' or 'two'"):
+        build(StripGeometry("AB"), 2, R, branes="three")
 
 
 def test_z_open_needs_constant_term():
