@@ -163,8 +163,8 @@ def _table(z, cap: int, branes: str) -> list:
 def _run_table(job) -> dict:
     command, strip, cap = job["command"], job["strip"], job["cap"]
     ring, branes = job["ring"], job["branes"]
-    z = (closed_form if command == "closed-form" else glue_strip)(strip, cap, ring,
-                                                                  branes=branes)
+    build = closed_form if command == "closed-form" else glue_strip
+    z = build(strip, cap, ring, branes=branes)
     if command == "partition":
         z = z_open(z)
     if branes == "one":
