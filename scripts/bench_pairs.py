@@ -17,13 +17,14 @@ invocations.  The benchmark itself is only run, never edited.
 
 The workloads of IN_TREE are not the benchmark's and take no seed.  Each
 run is one fresh process from the tree's sources that prints its metrics:
-  * `criterion-6` and `criterion-8` time the check of acceptance criterion
-    6 (`verify_annihilation`, x^8 symbolic, x^16 at q = 9/4) or 8
-    (`verify_one_brane_match`, cap 6 symbolic, cap 8 at q = 9/4) on the 15
-    strip words of length at most 4, with the symbolic ring's memo cleared
-    and a fresh NumericQ ring: `cpu_s` (CPU time) and `wall_s` (wall time)
-    of the symbolic lane, `numeric_cpu_s` of the numeric one; a run fails
-    when either lane's check does;
+  * `criterion-5`, `criterion-6` and `criterion-8` time the check of
+    acceptance criterion 5 (`verify_strip_identity`, cap 3 symbolic, cap 5
+    at q = 9/4), 6 (`verify_annihilation`, x^8 symbolic, x^16 at q = 9/4)
+    or 8 (`verify_one_brane_match`, cap 6 symbolic, cap 8 at q = 9/4) on
+    the 15 strip words of length at most 4, with the symbolic ring's memo
+    cleared and a fresh NumericQ ring: `cpu_s` (CPU time) and `wall_s`
+    (wall time) of the symbolic lane, `numeric_cpu_s` of the numeric one;
+    a run fails when either lane's check does;
   * `import` imports stripvertex and exits: `import_s` is the import
     itself, `process_s` the wall time of the whole process, as the
     benchmark's `setup_s` takes it.
@@ -67,6 +68,8 @@ print(json.dumps({"import_s": perf_counter() - start, "pass": True}))
 """
 # workload: (the code its fresh process runs, {metric: better})
 IN_TREE = {
+    "criterion-5": (_LANES_CODE.format(module="vertex", check="verify_strip_identity",
+                                       symbolic_cap=3, numeric_cap=5), _LANES_METRICS),
     "criterion-6": (_LANES_CODE.format(module="qdiff", check="verify_annihilation",
                                        symbolic_cap=8, numeric_cap=16), _LANES_METRICS),
     "criterion-8": (_LANES_CODE.format(module="vertex", check="verify_one_brane_match",

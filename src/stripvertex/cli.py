@@ -147,14 +147,13 @@ def _resolve_job(args) -> dict:
     }
 
 
-def _table(z, cap: int, branes: str) -> list:
-    # rows [*slot partitions, Q-monomial, scalar], each coefficient at
-    # combined degree <= cap so one- and two-brane tables line up
+def _table(z, branes: str) -> list:
+    # rows [*slot partitions, Q-monomial, scalar]; every build is a SymFunc2
+    # (or its slice), so each coefficient is already at combined degree
     rows = []
     for key, series in z.terms.items():
         slots = key if branes == "two" else (key,)
-        room = cap - sum(map(sum, slots))
-        for mono, scalar in series.truncate(room).sorted_terms():
+        for mono, scalar in series.sorted_terms():
             rows.append([*map(list, slots), key_string(mono), str(scalar)])
     rows.sort(key=lambda r: ([(sum(lam), lam) for lam in r[:-2]], r[-2]))
     return rows
@@ -170,7 +169,7 @@ def _run_table(job) -> dict:
     if branes == "one":
         z = z.slice_first()
     return {"command": command, "types": strip.types, "cap": cap, "q": job["q"],
-            "branes": branes, "coefficients": _table(z, cap, branes)}
+            "branes": branes, "coefficients": _table(z, branes)}
 
 
 def _run_verify(job) -> dict:

@@ -608,8 +608,9 @@ class TruncatedSeries:
     empty key), _key_str, _key_row (its columns in symfunc.check_report),
     _rewrite (one key in the other basis) and _lift (a scalar as a
     coefficient).  Terms of key size above cap are dropped; cap = math.inf
-    keeps every term.  With _combined set, a coefficient is also truncated
-    to Novikov degree cap - size(key).
+    keeps every term, and __init__ and zero refuse a negative cap.  With
+    _combined set, a coefficient is also truncated to Novikov degree
+    cap - size(key).
     Products are taken in the "p" basis and returned in the basis of the
     left factor.  Both operands of +, * and == must share one ring.
 
@@ -625,6 +626,8 @@ class TruncatedSeries:
     def __init__(self, basis: str, terms: dict, cap, ring, clean: bool = False):
         if basis not in _BASES:
             raise ValueError(f"unknown basis {basis!r}")
+        if cap < 0:
+            raise ValueError("cap must be nonnegative")
         self.basis, self.cap, self.ring = basis, cap, ring
         self.terms = terms if clean else {}
         if not clean:
@@ -640,6 +643,8 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, ring, cap, basis: str = "p"):
+        if cap < 0:
+            raise ValueError("cap must be nonnegative")
         return cls._new(basis, {}, cap, ring)
 
     @classmethod

@@ -153,17 +153,6 @@ def _vertex_factor(vtype: str, left: Partition, right: Partition, ring, rules):
     return topological_vertex(m1, m2, (), ring) * ring.t_power(-kappa(m1))
 
 
-def _partition_tuples(slots: int, budget: int):
-    """All tuples of `slots` partitions with total size at most budget."""
-    if slots == 0:
-        yield (), 0
-        return
-    for head in enumerate_partitions(budget):
-        h = size(head)
-        for tail, t in _partition_tuples(slots - 1, budget - h):
-            yield (head,) + tail, h + t
-
-
 def _check_branes(branes: str) -> None:
     if branes not in ("one", "two"):
         raise ValueError("branes must be 'one' or 'two'")
@@ -177,44 +166,40 @@ def glue_strip(strip: StripGeometry, cap: int, ring=SYMBOLIC,
     s_{l1} x s_{l2} is a polynomial in the edge parameters, and every term
     obeys |l1| + |l2| + (total edge size) <= cap.  With branes="one" the
     second boundary is pinned to the empty partition.
+
+    For each l1 the sum is one depth-first walk along the chain: a step
+    carries the product of the vertex factors so far, the Q exponents, the
+    size budget left and the partition entering the next vertex, so a
+    prefix shared by many terms is multiplied out once.
     """
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
     _check_branes(branes)
     if rules is None:
         rules = GLUE_RULES
     word = strip.types
-    n = len(word)
+    last = len(word) - 1
     out = SymFunc2.zero(ring, cap, "schur")
+
+    def walk(l1, k, left, val, exps, budget):
+        if k == last:
+            for l2 in enumerate_partitions(budget) if branes == "two" else [()]:
+                v = val * _vertex_factor(word[k], left, l2, ring, rules)
+                if rules["end_sign_b"] < 0 and word[k] == "B" and size(l2) % 2:
+                    v = -v
+                out.add_term((l1, l2), NovikovSeries.monomial(exps, v))
+            return
+        pair = word[k] + word[k + 1]
+        sign, g = rules["edge_sign"][pair], rules["edge_kappa"][pair]
+        for sig in enumerate_partitions(budget):
+            s = size(sig)
+            v = val * _vertex_factor(word[k], left, sig, ring, rules)
+            if sign < 0 and s % 2:
+                v = -v
+            if g:
+                v = v * ring.t_power(g * kappa(sig))
+            walk(l1, k + 1, transpose(sig), v, {**exps, f"Q{k + 1}": s}, budget - s)
+
     for l1 in enumerate_partitions(cap):
-        s1 = size(l1)
-        l2_choices = enumerate_partitions(cap - s1) if branes == "two" else [()]
-        for l2 in l2_choices:
-            budget = cap - s1 - size(l2)
-            for sigmas, used in _partition_tuples(n - 1, budget):
-                val = ring.one
-                exps = {}
-                negate = False
-                left = l1
-                for k in range(n):
-                    right = sigmas[k] if k < n - 1 else l2
-                    val = val * _vertex_factor(word[k], left, right, ring, rules)
-                    if k < n - 1:
-                        sig = sigmas[k]
-                        if sig:
-                            pair = word[k] + word[k + 1]
-                            exps[f"Q{k + 1}"] = size(sig)
-                            if rules["edge_sign"][pair] < 0 and size(sig) % 2:
-                                negate = not negate
-                            g = rules["edge_kappa"][pair]
-                            if g:
-                                val = val * ring.t_power(g * kappa(sig))
-                        left = transpose(sig)
-                if rules["end_sign_b"] < 0 and word[-1] == "B" and size(l2) % 2:
-                    negate = not negate
-                if negate:
-                    val = -val
-                out.add_term((l1, l2), NovikovSeries.monomial(exps, val))
+        walk(l1, 0, l1, ring.one, {}, cap - size(l1))
     return out
 
 

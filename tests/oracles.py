@@ -1,18 +1,30 @@
-"""Oracles that only the tests use: partition checks, the Hall pairing, skew Schurs.
+"""Oracles that only the tests use: partition checks, the Hall pairing, skew Schurs
+and the chain sum by tuples.
 
 Each is an independent route to a quantity the package computes another
 way (Pieri's rule against the product, Littlewood-Richardson coefficients
-from the character table against the skew Jacobi-Trudi specialization),
-so it lives beside the tests rather than in the package.
+from the character table against the skew Jacobi-Trudi specialization,
+every tuple of edge partitions multiplied out afresh against the walk of
+vertex.glue_strip), so it lives beside the tests rather than in the package.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
 
-from stripvertex.partitions import Partition, character, partitions_of, size, transpose, z_factor
+from stripvertex.partitions import (
+    Partition,
+    character,
+    enumerate_partitions,
+    kappa,
+    partitions_of,
+    size,
+    transpose,
+    z_factor,
+)
 from stripvertex.scalars import SYMBOLIC, NovikovSeries
-from stripvertex.symfunc import SymFunc, principal_spec_skew
+from stripvertex.symfunc import SymFunc, SymFunc2, principal_spec_skew
+from stripvertex.vertex import GLUE_RULES, _vertex_factor
 
 
 # --- partitions -------------------------------------------------------------------
@@ -119,3 +131,61 @@ def sign_transpose_residual(lam: Partition, mu: Partition, ring=SYMBOLIC):
     if (size(lam) - size(mu)) % 2:
         rhs = -rhs
     return lhs - rhs
+
+
+# --- the chain sum -------------------------------------------------------------------
+
+def _partition_tuples(slots: int, budget: int):
+    """All tuples of `slots` partitions with total size at most budget."""
+    if slots == 0:
+        yield (), 0
+        return
+    for head in enumerate_partitions(budget):
+        h = size(head)
+        for tail, t in _partition_tuples(slots - 1, budget - h):
+            yield (head,) + tail, h + t
+
+
+def glue_strip_by_tuples(strip, cap: int, ring=SYMBOLIC, branes: str = "two",
+                         rules=None) -> SymFunc2:
+    """vertex.glue_strip with every tuple of edge partitions multiplied out afresh.
+
+    Each (l1, l2, edge tuple) term is the product of its n vertex factors
+    from the ring's one, with the edge signs and the end sign collected in
+    one flag and applied at the end.
+    """
+    if rules is None:
+        rules = GLUE_RULES
+    word = strip.types
+    n = len(word)
+    out = SymFunc2.zero(ring, cap, "schur")
+    for l1 in enumerate_partitions(cap):
+        s1 = size(l1)
+        l2_choices = enumerate_partitions(cap - s1) if branes == "two" else [()]
+        for l2 in l2_choices:
+            budget = cap - s1 - size(l2)
+            for sigmas, _ in _partition_tuples(n - 1, budget):
+                val = ring.one
+                exps = {}
+                negate = False
+                left = l1
+                for k in range(n):
+                    right = sigmas[k] if k < n - 1 else l2
+                    val = val * _vertex_factor(word[k], left, right, ring, rules)
+                    if k < n - 1:
+                        sig = sigmas[k]
+                        if sig:
+                            pair = word[k] + word[k + 1]
+                            exps[f"Q{k + 1}"] = size(sig)
+                            if rules["edge_sign"][pair] < 0 and size(sig) % 2:
+                                negate = not negate
+                            g = rules["edge_kappa"][pair]
+                            if g:
+                                val = val * ring.t_power(g * kappa(sig))
+                        left = transpose(sig)
+                if rules["end_sign_b"] < 0 and word[-1] == "B" and size(l2) % 2:
+                    negate = not negate
+                if negate:
+                    val = -val
+                out.add_term((l1, l2), NovikovSeries.monomial(exps, val))
+    return out

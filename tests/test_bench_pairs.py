@@ -4,6 +4,8 @@ import json
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 
 
@@ -46,10 +48,17 @@ def _stub_run(monkeypatch, module, printed):
     monkeypatch.setattr(module.subprocess, "run", fake_run)
 
 
-def _check_both_lanes(monkeypatch, workload):
+@pytest.mark.parametrize("workload,check,symbolic_cap,numeric_cap", [
+    ("criterion-5", "verify_strip_identity", 3, 5),
+    ("criterion-6", "verify_annihilation", 8, 16),
+    ("criterion-8", "verify_one_brane_match", 6, 8),
+])
+def test_criterion_reports_both_lanes(monkeypatch, workload, check, symbolic_cap, numeric_cap):
     module = _load_script()
     code, metrics = module.IN_TREE[workload]
     compile(code, workload, "exec")
+    assert check in code and f"check(w, {symbolic_cap})" in code
+    assert f"check(w, {numeric_cap}, ring)" in code
     printed = {"cpu_s": 2.0, "wall_s": 2.1, "numeric_cpu_s": 1.5, "pass": True}
     _stub_run(monkeypatch, module, printed)
     run = module.run_in_tree(Path("tree"), workload)
@@ -59,19 +68,6 @@ def _check_both_lanes(monkeypatch, workload):
     # a failing check in either lane fails the run
     printed["pass"] = False
     assert module.run_in_tree(Path("tree"), workload)["failed"] == 1
-    return code
-
-
-def test_criterion_8_reports_both_lanes(monkeypatch):
-    code = _check_both_lanes(monkeypatch, "criterion-8")
-    assert "verify_one_brane_match" in code and "check(w, 6)" in code
-    assert "check(w, 8, ring)" in code
-
-
-def test_criterion_6_reports_both_lanes(monkeypatch):
-    code = _check_both_lanes(monkeypatch, "criterion-6")
-    assert "verify_annihilation" in code and "check(w, 8)" in code
-    assert "check(w, 16, ring)" in code
 
 
 def test_import_reports_import_and_process_time(monkeypatch):

@@ -5,11 +5,20 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import glue_strip_by_tuples
 from stripvertex import cli, vertex
 from stripvertex.partitions import enumerate_partitions, size
 from stripvertex.scalars import SYMBOLIC, NovikovSeries, NumericQ, Scalar
-from stripvertex.skein import _solution_p, solution_element
-from stripvertex.symfunc import SymFunc2
+from stripvertex.qdiff import log_reduce, verify_annihilation
+from stripvertex.skein import (
+    _solution_p,
+    psi,
+    psi_inverse,
+    solution_element,
+    solve_recurrence,
+    verify_dilog_recurrence,
+)
+from stripvertex.symfunc import SymFunc, SymFunc2
 from stripvertex.vertex import (
     GLUE_RULES,
     NonUnitClosedSector,
@@ -167,6 +176,39 @@ def test_wrong_edge_sign_fails():
     assert lhs != closed_form(s, 2)
 
 
+@pytest.mark.parametrize("branes", ["two", "one"])
+@pytest.mark.parametrize("ring,cap", [(R, 3), (NUMERIC, 4)], ids=["symbolic", "numeric"])
+def test_glue_walk_matches_tuple_enumeration(ring, cap, branes):
+    for word in WORDS:
+        s = StripGeometry(word)
+        walk = glue_strip(s, cap, ring, branes)
+        assert walk == glue_strip_by_tuples(s, cap, ring, branes), word
+
+
+# every non-default choice of the rule table: B slots read right first, an
+# edge kappa power on each mixed and BB edge, the end sign at a type-B end
+# and a negative BB edge sign
+ODD_RULES = [
+    {"edge_sign": {"AA": 1, "AB": -1, "BA": 1, "BB": -1},
+     "edge_kappa": {"AA": 0, "AB": 1, "BA": -1, "BB": 1},
+     "b_slots": "right_first", "end_sign_b": -1},
+    {"edge_sign": {"AA": -1, "AB": 1, "BA": -1, "BB": -1},
+     "edge_kappa": {"AA": 1, "AB": -1, "BA": 0, "BB": -1},
+     "b_slots": "left_first", "end_sign_b": -1},
+]
+
+
+@pytest.mark.parametrize("rules", ODD_RULES)
+@pytest.mark.parametrize("word", ["AB", "ABB", "ABAB"])
+def test_glue_walk_matches_tuple_enumeration_under_other_rules(word, rules):
+    s = StripGeometry(word)
+    for branes in ("one", "two"):
+        walk = glue_strip(s, 3, R, branes, rules)
+        assert walk == glue_strip_by_tuples(s, 3, R, branes, rules), (word, branes)
+    # the rules reach the two-brane series
+    assert walk != glue_strip(s, 3, R), word
+
+
 def test_one_brane_match():
     for ring in (R, NUMERIC):
         for word in ("A", "AB", "AAB"):
@@ -240,7 +282,7 @@ def test_one_brane_closed_form_slices_two_brane():
 @pytest.mark.parametrize("ring", [R, NUMERIC], ids=["symbolic", "numeric"])
 def test_one_brane_closed_form_at_combined_degree(ring):
     # the first-slot build equals the two-brane slice, and its table equals
-    # the table of the exact one-alphabet product
+    # the table of the exact one-alphabet product cut to combined degree
     cap = 4
     for word in WORDS:
         s = StripGeometry(word)
@@ -249,13 +291,46 @@ def test_one_brane_closed_form_at_combined_degree(ring):
         one = one.slice_first()
         assert one == closed_form(s, cap, ring).slice_first(), word
         exact = one_brane_closed_form(s, cap, ring)
-        assert cli._table(one, cap, "one") == cli._table(exact, cap, "one"), word
+        cut = SymFunc("schur", {lam: c.truncate(cap - size(lam))
+                                for lam, c in exact.terms.items()}, cap, ring)
+        assert cli._table(one, "one") == cli._table(cut, "one"), word
 
 
 @pytest.mark.parametrize("build", [glue_strip, closed_form])
 def test_builders_refuse_an_unknown_brane_count(build):
     with pytest.raises(ValueError, match="branes must be 'one' or 'two'"):
         build(StripGeometry("AB"), 2, R, branes="three")
+
+
+AB = StripGeometry("AB")
+XI = NovikovSeries.constant(R.one)
+# every check and builder, called at a given cap
+BUILDS_AT_CAP = {
+    "verify_strip_identity": lambda cap: verify_strip_identity("AB", cap),
+    "verify_one_brane_match": lambda cap: verify_one_brane_match("AB", cap),
+    "verify_two_leg_product": verify_two_leg_product,
+    "verify_annihilation": lambda cap: verify_annihilation("AB", cap),
+    "verify_dilog_recurrence": verify_dilog_recurrence,
+    "verify_dilog_recurrence-inverse": lambda cap: verify_dilog_recurrence(cap, "inverse"),
+    "glue_strip": lambda cap: glue_strip(AB, cap),
+    "glue_strip-one": lambda cap: glue_strip(AB, cap, branes="one"),
+    "closed_form": lambda cap: closed_form(AB, cap),
+    "one_brane_closed_form": lambda cap: one_brane_closed_form(AB, cap),
+    "two_leg_vertex_series": two_leg_vertex_series,
+    "two_leg_product_form": two_leg_product_form,
+    "log_reduce": lambda cap: log_reduce(AB, cap),
+    "solve_recurrence": solve_recurrence,
+    "psi": lambda cap: psi(XI, cap),
+    "psi_inverse-exponential": lambda cap: psi_inverse(XI, cap, form="exponential"),
+    "solution_element": lambda cap: solution_element(*strip_params(AB), cap),
+}
+
+
+@pytest.mark.parametrize("build", BUILDS_AT_CAP.values(), ids=BUILDS_AT_CAP.keys())
+def test_negative_cap_fails_loudly(build):
+    build(0)
+    with pytest.raises(ValueError, match="cap must be nonnegative"):
+        build(-1)
 
 
 def test_z_open_needs_constant_term():
