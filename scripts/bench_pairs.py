@@ -25,6 +25,8 @@ run is one fresh process from the tree's sources that prints its metrics:
     cleared and a fresh NumericQ ring: `cpu_s` (CPU time) and `wall_s`
     (wall time) of the symbolic lane, `numeric_cpu_s` of the numeric one;
     a run fails when either lane's check does;
+  * `length-5` times criterion 6's check in the same way on the 16 words
+    of length 5, one past the acceptance words;
   * `import` imports stripvertex and exits: `import_s` is the import
     itself, `process_s` the wall time of the whole process, as the
     benchmark's `setup_s` takes it.
@@ -47,7 +49,7 @@ from time import perf_counter, process_time
 from stripvertex.scalars import SYMBOLIC, NumericQ
 from stripvertex.{module} import {check} as check
 words = ["A" + "".join("AB"[(bits >> i) & 1] for i in range(n - 1))
-         for n in range(1, 5) for bits in range(1 << (n - 1))]
+         for n in {lengths} for bits in range(1 << (n - 1))]
 SYMBOLIC.memo.clear()
 wall, cpu = perf_counter(), process_time()
 ok = all(check(w, {symbolic_cap})["pass"] for w in words)
@@ -66,14 +68,22 @@ start = perf_counter()
 import stripvertex
 print(json.dumps({"import_s": perf_counter() - start, "pass": True}))
 """
+# the word lengths of the acceptance criteria
+_ACCEPTANCE = range(1, 5)
 # workload: (the code its fresh process runs, {metric: better})
 IN_TREE = {
     "criterion-5": (_LANES_CODE.format(module="vertex", check="verify_strip_identity",
-                                       symbolic_cap=3, numeric_cap=5), _LANES_METRICS),
+                                       symbolic_cap=3, numeric_cap=5,
+                                       lengths=_ACCEPTANCE), _LANES_METRICS),
     "criterion-6": (_LANES_CODE.format(module="qdiff", check="verify_annihilation",
-                                       symbolic_cap=8, numeric_cap=16), _LANES_METRICS),
+                                       symbolic_cap=8, numeric_cap=16,
+                                       lengths=_ACCEPTANCE), _LANES_METRICS),
     "criterion-8": (_LANES_CODE.format(module="vertex", check="verify_one_brane_match",
-                                       symbolic_cap=6, numeric_cap=8), _LANES_METRICS),
+                                       symbolic_cap=6, numeric_cap=8,
+                                       lengths=_ACCEPTANCE), _LANES_METRICS),
+    "length-5": (_LANES_CODE.format(module="qdiff", check="verify_annihilation",
+                                    symbolic_cap=8, numeric_cap=16, lengths=(5,)),
+                 _LANES_METRICS),
     "import": (_IMPORT_CODE, {"import_s": "lower", "process_s": "lower"}),
 }
 RUN_TIMEOUT_S = 600

@@ -1,4 +1,4 @@
-"""One-time search fixing the gluing conventions shipped in vertex.GLUE_RULES.
+"""One-time search fixing the gluing conventions that vertex.glue_strip hard-codes.
 
 The chain sum leaves a few discrete choices open: which of a type-B vertex's
 two edge slots carries the framing, the sign attached to each unit of an
@@ -6,7 +6,8 @@ internal edge partition for the four ordered type pairs, an optional
 q^(kappa/2) power per edge, and an optional sign on odd boundary partitions
 when the last vertex has type B.  Exactly one assignment makes the
 normalized chain sum reproduce the plethystic product form; this script
-sweeps the whole space and prints the survivors.
+sweeps the whole space with the rule-parameterised chain sum of
+tests/oracles.py and prints the survivors, which should be its SHIPPED_RULES.
 
 Run from the repository root:  PYTHONPATH=src python3 scripts/calibrate_gluing.py
 """
@@ -14,9 +15,14 @@ import itertools
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
-from stripvertex.scalars import NumericQ
-from stripvertex.vertex import StripGeometry, closed_form, glue_strip, z_open
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from oracles import glue_strip_by_tuples  # noqa: E402
+
+from stripvertex.scalars import NumericQ  # noqa: E402
+from stripvertex.vertex import StripGeometry, closed_form, z_open  # noqa: E402
 
 # The words in the final round carry size-2 edge partitions next to nonempty
 # boundaries, which is what separates the kappa-power choices; smaller caps
@@ -27,7 +33,7 @@ WORDS_SLOW = [("AAB", 3), ("ABAB", 3), ("ABA", 4), ("ABB", 4)]
 
 def matches(word, cap, ring, rules):
     strip = StripGeometry(word)
-    lhs = z_open(glue_strip(strip, cap, ring, rules=rules))
+    lhs = z_open(glue_strip_by_tuples(strip, cap, ring, rules=rules))
     return lhs == closed_form(strip, cap, ring)
 
 

@@ -294,6 +294,9 @@ class Scalar:
     def __add__(self, other: "Scalar") -> "Scalar":
         onum, oden = _operand(self, other)
         num, den = self.num, self.den
+        if not num or not onum:
+            # scalars are never mutated, so a zero operand can hand back the other
+            return other if onum else self
         if len(num) == 1 == len(onum) and len(den) == 1 == len(oden):
             # one term each over integers: one gcd gives the canonical form
             (k1, c1), = num.items()

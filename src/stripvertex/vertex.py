@@ -127,30 +127,23 @@ def framed_vertex(mu1, mu2, mu3, f1: int, f2: int, f3: int, ring=SYMBOLIC):
 # ---------------------------------------------------------------------------
 # gluing
 
-# Slot conventions. A type-A vertex reads (right edge, left edge, leg) into
-# the vertex slots, a type-B one reads (left edge, right edge, leg); in both
-# cases the first slot carries framing -1 and the others 0, and the leg stays
-# empty on a strip.  An internal edge inserts sigma on the right slot of one
-# vertex and its transpose on the left slot of the next, weighted by
-# Q^(|sigma|) and the sign below per unit of |sigma|.  The table was fixed
-# once by matching the normalized glued series against the plethystic
-# product form at small truncation; scripts/calibrate_gluing.py re-runs that
-# search over the candidate conventions.
-GLUE_RULES = {
-    "edge_sign": {"AA": 1, "AB": -1, "BA": -1, "BB": 1},
-    "edge_kappa": {"AA": 0, "AB": 0, "BA": 0, "BB": 0},
-    "b_slots": "left_first",
-    "end_sign_b": 1,
-}
+# Conventions.  A type-B vertex reads (left edge, right edge, leg) into the
+# vertex slots and a type-A one (right edge, left edge, leg); the first slot
+# carries framing -1, the others 0, and the leg stays empty on a strip.  An
+# internal edge inserts sigma on the right slot of one vertex and its
+# transpose on the left slot of the next, weighted by Q^|sigma| and, between
+# vertices of different types, by (-1)^|sigma|.  These were fixed once as the
+# one survivor of matching the normalized chain sum against the product form
+# at small truncation; scripts/calibrate_gluing.py re-runs that search over
+# the chain sum of tests/oracles.py.
 
-
-def _vertex_factor(vtype: str, left: Partition, right: Partition, ring, rules):
-    # framing -1 on the first slot is q^(-kappa/2) = t^(-kappa)
-    if vtype == "B" and rules["b_slots"] == "left_first":
-        m1, m2 = left, right
-    else:
-        m1, m2 = right, left
-    return topological_vertex(m1, m2, (), ring) * ring.t_power(-kappa(m1))
+def _vertex_factor(vtype: str, left: Partition, right: Partition, ring):
+    m1, m2 = (left, right) if vtype == "B" else (right, left)
+    memo = ring.memo
+    key = ("framed", m1, m2)
+    if key not in memo:
+        memo[key] = framed_vertex(m1, m2, (), -1, 0, 0, ring)
+    return memo[key]
 
 
 def _check_branes(branes: str) -> None:
@@ -159,13 +152,14 @@ def _check_branes(branes: str) -> None:
 
 
 def glue_strip(strip: StripGeometry, cap: int, ring=SYMBOLIC,
-               branes: str = "two", rules=None) -> SymFunc2:
+               branes: str = "two") -> SymFunc2:
     """Unnormalized chain sum over all edge and boundary partitions.
 
     The result is a two-alphabet Schur series; the coefficient of
     s_{l1} x s_{l2} is a polynomial in the edge parameters, and every term
     obeys |l1| + |l2| + (total edge size) <= cap.  With branes="one" the
-    second boundary is pinned to the empty partition.
+    second boundary is pinned to the empty partition.  The slot, framing and
+    edge sign conventions are stated in the comment before _vertex_factor.
 
     For each l1 the sum is one depth-first walk along the chain: a step
     carries the product of the vertex factors so far, the Q exponents, the
@@ -173,8 +167,6 @@ def glue_strip(strip: StripGeometry, cap: int, ring=SYMBOLIC,
     prefix shared by many terms is multiplied out once.
     """
     _check_branes(branes)
-    if rules is None:
-        rules = GLUE_RULES
     word = strip.types
     last = len(word) - 1
     out = SymFunc2.zero(ring, cap, "schur")
@@ -182,20 +174,15 @@ def glue_strip(strip: StripGeometry, cap: int, ring=SYMBOLIC,
     def walk(l1, k, left, val, exps, budget):
         if k == last:
             for l2 in enumerate_partitions(budget) if branes == "two" else [()]:
-                v = val * _vertex_factor(word[k], left, l2, ring, rules)
-                if rules["end_sign_b"] < 0 and word[k] == "B" and size(l2) % 2:
-                    v = -v
+                v = val * _vertex_factor(word[k], left, l2, ring)
                 out.add_term((l1, l2), NovikovSeries.monomial(exps, v))
             return
-        pair = word[k] + word[k + 1]
-        sign, g = rules["edge_sign"][pair], rules["edge_kappa"][pair]
+        flip = word[k] != word[k + 1]
         for sig in enumerate_partitions(budget):
             s = size(sig)
-            v = val * _vertex_factor(word[k], left, sig, ring, rules)
-            if sign < 0 and s % 2:
+            v = val * _vertex_factor(word[k], left, sig, ring)
+            if flip and s % 2:
                 v = -v
-            if g:
-                v = v * ring.t_power(g * kappa(sig))
             walk(l1, k + 1, transpose(sig), v, {**exps, f"Q{k + 1}": s}, budget - s)
 
     for l1 in enumerate_partitions(cap):

@@ -1,5 +1,5 @@
 """Oracles that only the tests use: partition checks, the Hall pairing, skew Schurs
-and the chain sum by tuples.
+and the chain sum by tuples under any table of gluing conventions.
 
 Each is an independent route to a quantity the package computes another
 way (Pieri's rule against the product, Littlewood-Richardson coefficients
@@ -24,7 +24,7 @@ from stripvertex.partitions import (
 )
 from stripvertex.scalars import SYMBOLIC, NovikovSeries
 from stripvertex.symfunc import SymFunc, SymFunc2, principal_spec_skew
-from stripvertex.vertex import GLUE_RULES, _vertex_factor
+from stripvertex.vertex import topological_vertex
 
 
 # --- partitions -------------------------------------------------------------------
@@ -135,6 +135,29 @@ def sign_transpose_residual(lam: Partition, mu: Partition, ring=SYMBOLIC):
 
 # --- the chain sum -------------------------------------------------------------------
 
+# The gluing conventions as a table of the choices a chain sum leaves open: the
+# sign per unit of an internal edge partition and an optional q^(kappa/2) power
+# per edge, for each ordered pair of vertex types; which of a type-B vertex's
+# edge slots comes first, and so carries framing -1; and a sign on an odd
+# boundary partition at a type-B end.  This is the table vertex.glue_strip
+# hard-codes, and the one scripts/calibrate_gluing.py finds.
+SHIPPED_RULES = {
+    "edge_sign": {"AA": 1, "AB": -1, "BA": -1, "BB": 1},
+    "edge_kappa": {"AA": 0, "AB": 0, "BA": 0, "BB": 0},
+    "b_slots": "left_first",
+    "end_sign_b": 1,
+}
+
+
+def _vertex_factor(vtype: str, left: Partition, right: Partition, ring, rules):
+    # framing -1 on the first slot is q^(-kappa/2) = t^(-kappa)
+    if vtype == "B" and rules["b_slots"] == "left_first":
+        m1, m2 = left, right
+    else:
+        m1, m2 = right, left
+    return topological_vertex(m1, m2, (), ring) * ring.t_power(-kappa(m1))
+
+
 def _partition_tuples(slots: int, budget: int):
     """All tuples of `slots` partitions with total size at most budget."""
     if slots == 0:
@@ -152,10 +175,11 @@ def glue_strip_by_tuples(strip, cap: int, ring=SYMBOLIC, branes: str = "two",
 
     Each (l1, l2, edge tuple) term is the product of its n vertex factors
     from the ring's one, with the edge signs and the end sign collected in
-    one flag and applied at the end.
+    one flag and applied at the end.  The conventions are those of the
+    table rules, SHIPPED_RULES by default.
     """
     if rules is None:
-        rules = GLUE_RULES
+        rules = SHIPPED_RULES
     word = strip.types
     n = len(word)
     out = SymFunc2.zero(ring, cap, "schur")

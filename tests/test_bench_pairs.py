@@ -48,17 +48,25 @@ def _stub_run(monkeypatch, module, printed):
     monkeypatch.setattr(module.subprocess, "run", fake_run)
 
 
-@pytest.mark.parametrize("workload,check,symbolic_cap,numeric_cap", [
-    ("criterion-5", "verify_strip_identity", 3, 5),
-    ("criterion-6", "verify_annihilation", 8, 16),
-    ("criterion-8", "verify_one_brane_match", 6, 8),
+@pytest.mark.parametrize("workload,check,symbolic_cap,numeric_cap,lengths", [
+    ("criterion-5", "verify_strip_identity", 3, 5, {1, 2, 3, 4}),
+    ("criterion-6", "verify_annihilation", 8, 16, {1, 2, 3, 4}),
+    ("criterion-8", "verify_one_brane_match", 6, 8, {1, 2, 3, 4}),
+    ("length-5", "verify_annihilation", 8, 16, {5}),
 ])
-def test_criterion_reports_both_lanes(monkeypatch, workload, check, symbolic_cap, numeric_cap):
+def test_criterion_reports_both_lanes(monkeypatch, workload, check, symbolic_cap, numeric_cap,
+                                      lengths):
     module = _load_script()
     code, metrics = module.IN_TREE[workload]
     compile(code, workload, "exec")
     assert check in code and f"check(w, {symbolic_cap})" in code
     assert f"check(w, {numeric_cap}, ring)" in code
+    # every word of each length, once, starting with A
+    namespace = {}
+    exec(code[code.index("words = "):code.index("SYMBOLIC.memo")], namespace)
+    words = namespace["words"]
+    assert len(words) == len(set(words)) == sum(1 << (n - 1) for n in lengths)
+    assert {len(w) for w in words} == lengths and all(w[0] == "A" for w in words)
     printed = {"cpu_s": 2.0, "wall_s": 2.1, "numeric_cpu_s": 1.5, "pass": True}
     _stub_run(monkeypatch, module, printed)
     run = module.run_in_tree(Path("tree"), workload)

@@ -1,13 +1,15 @@
-"""The gluing calibration sweep finds exactly the shipped rule table.
+"""The gluing calibration sweep finds exactly the oracle's shipped rule table.
 
-scripts/calibrate_gluing.py is the one caller of glue_strip(rules=...)
-outside the tests; running its search here keeps the script working and
-re-derives vertex.GLUE_RULES on every run.
+scripts/calibrate_gluing.py searches every table of gluing conventions with
+the rule-parameterised chain sum oracles.glue_strip_by_tuples, and exactly
+SHIPPED_RULES must survive.  test_vertex checks that vertex.glue_strip, whose
+conventions are plain code, equals that oracle at its default table, so the
+two together re-derive the walk's conventions on every run.
 """
 import importlib.util
 from pathlib import Path
 
-from stripvertex.vertex import GLUE_RULES
+from oracles import SHIPPED_RULES
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "calibrate_gluing.py"
 
@@ -20,4 +22,4 @@ def _load_script():
 
 
 def test_calibration_search_finds_the_shipped_rules():
-    assert _load_script().search() == [GLUE_RULES]
+    assert _load_script().search() == [SHIPPED_RULES]

@@ -307,6 +307,45 @@ def test_one_term_negative_divisor_moves_its_sign_into_num(ring, tv):
         assert_same(got, xs / ys)
 
 
+# --- a zero operand: the sum hands back the other operand ----------------------
+
+
+def _several_terms(rng, ring, tv):
+    """A value the one-term path does not take, with its sympy image.
+
+    Symbolic: a random rational function whose denominator is a polynomial.
+    Numeric: a sum of monomials in a with several terms.
+    """
+    while True:
+        if ring is R:
+            x, xs = random_pair(rng)
+            if len(x.den) > 1:
+                return x, xs
+        else:
+            x, xs = ring.zero, K(0)
+            for _ in range(rng.randint(2, 4)):
+                y, ys, _ = random_monomial(rng, ring, tv)
+                x, xs = x + y, xs + ys
+            if len(x.num) > 1:
+                return x, xs
+
+
+@pytest.mark.parametrize("ring,tv", LANES, ids=["symbolic", "numeric"])
+def test_sum_with_a_zero_operand_matches_sympy(ring, tv):
+    rng = random.Random(83)
+    for _ in range(30):
+        x, xs = _several_terms(rng, ring, tv)
+        y, _ = _several_terms(rng, ring, tv)
+        for zero in (ring.zero, y - y):
+            cases = [(zero + x, xs), (x + zero, xs), (x - zero, xs), (zero - x, -xs),
+                     (zero + zero, K(0))]
+            for got, want in cases:
+                assert type(got) is ring._scalar
+                assert_canonical(got)
+                assert_same(got, want)
+            assert zero + x == x and hash(zero + x) == hash(x) and str(x + zero) == str(x)
+
+
 # --- principal specializations -------------------------------------------------
 
 

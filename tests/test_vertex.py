@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import glue_strip_by_tuples
+from oracles import SHIPPED_RULES, glue_strip_by_tuples
 from stripvertex import cli, vertex
 from stripvertex.partitions import enumerate_partitions, size
 from stripvertex.scalars import SYMBOLIC, NovikovSeries, NumericQ, Scalar
@@ -20,7 +20,6 @@ from stripvertex.skein import (
 )
 from stripvertex.symfunc import SymFunc, SymFunc2
 from stripvertex.vertex import (
-    GLUE_RULES,
     NonUnitClosedSector,
     StripGeometry,
     closed_form,
@@ -168,11 +167,9 @@ def test_strip_identity_numeric():
 
 
 def test_wrong_edge_sign_fails():
-    rules = {"edge_sign": {"AA": 1, "AB": 1, "BA": -1, "BB": 1},
-             "edge_kappa": GLUE_RULES["edge_kappa"],
-             "b_slots": "left_first", "end_sign_b": 1}
+    rules = {**SHIPPED_RULES, "edge_sign": {"AA": 1, "AB": 1, "BA": -1, "BB": 1}}
     s = StripGeometry("AB")
-    lhs = z_open(glue_strip(s, 2, rules=rules))
+    lhs = z_open(glue_strip_by_tuples(s, 2, rules=rules))
     assert lhs != closed_form(s, 2)
 
 
@@ -185,28 +182,14 @@ def test_glue_walk_matches_tuple_enumeration(ring, cap, branes):
         assert walk == glue_strip_by_tuples(s, cap, ring, branes), word
 
 
-# every non-default choice of the rule table: B slots read right first, an
-# edge kappa power on each mixed and BB edge, the end sign at a type-B end
-# and a negative BB edge sign
-ODD_RULES = [
-    {"edge_sign": {"AA": 1, "AB": -1, "BA": 1, "BB": -1},
-     "edge_kappa": {"AA": 0, "AB": 1, "BA": -1, "BB": 1},
-     "b_slots": "right_first", "end_sign_b": -1},
-    {"edge_sign": {"AA": -1, "AB": 1, "BA": -1, "BB": -1},
-     "edge_kappa": {"AA": 1, "AB": -1, "BA": 0, "BB": -1},
-     "b_slots": "left_first", "end_sign_b": -1},
-]
-
-
-@pytest.mark.parametrize("rules", ODD_RULES)
-@pytest.mark.parametrize("word", ["AB", "ABB", "ABAB"])
-def test_glue_walk_matches_tuple_enumeration_under_other_rules(word, rules):
-    s = StripGeometry(word)
-    for branes in ("one", "two"):
-        walk = glue_strip(s, 3, R, branes, rules)
-        assert walk == glue_strip_by_tuples(s, 3, R, branes, rules), (word, branes)
-    # the rules reach the two-brane series
-    assert walk != glue_strip(s, 3, R), word
+def test_length_five_glue_walk_and_strip_identity():
+    # the 16 words of length 5, one past the acceptance words
+    for rest in itertools.product("AB", repeat=4):
+        word = "A" + "".join(rest)
+        s = StripGeometry(word)
+        assert glue_strip(s, 3) == glue_strip_by_tuples(s, 3), word
+        rep = verify_strip_identity(word, 3)
+        assert rep["pass"] is True, (word, rep["residuals"][:3])
 
 
 def test_one_brane_match():
