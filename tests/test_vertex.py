@@ -182,6 +182,45 @@ def test_glue_walk_matches_tuple_enumeration(ring, cap, branes):
         assert walk == glue_strip_by_tuples(s, cap, ring, branes), word
 
 
+# sign tables of the oracle other than the shipped one: every sign negated,
+# and the AB and BB edges alone.  Negating the sign of an edge is Q_k -> -Q_k
+# on that edge, and an end sign at a type-B end is (-1)^|l2| on the second
+# slot, so the walk's fixed signs must give the oracle's series after these
+# substitutions.
+ODD_RULES = [
+    {**SHIPPED_RULES, "edge_sign": {"AA": -1, "AB": 1, "BA": 1, "BB": -1},
+     "end_sign_b": -1},
+    {**SHIPPED_RULES, "edge_sign": {"AA": 1, "AB": 1, "BA": -1, "BB": -1}},
+]
+
+
+def _resign(z: SymFunc2, word: str, rules) -> SymFunc2:
+    """z with Q_k -> -Q_k on each edge whose sign rules flip, and the end sign."""
+    flipped = {f"Q{k + 1}" for k in range(len(word) - 1)
+               if rules["edge_sign"][word[k:k + 2]] != SHIPPED_RULES["edge_sign"][word[k:k + 2]]}
+    end = rules["end_sign_b"] < 0 and word[-1] == "B"
+    terms = {}
+    for (l1, l2), series in z.terms.items():
+        coeffs = {}
+        for key, c in series.terms.items():
+            odd = sum(e for name, e in key if name in flipped) + (size(l2) if end else 0)
+            coeffs[key] = -c if odd % 2 else c
+        terms[(l1, l2)] = NovikovSeries(coeffs, series.ring, series.cap)
+    return SymFunc2(z.basis, terms, z.cap, z.ring, clean=True)
+
+
+@pytest.mark.parametrize("rules", ODD_RULES)
+@pytest.mark.parametrize("word", ["AB", "ABB", "ABAB"])
+def test_glue_walk_matches_tuple_enumeration_under_other_rules(word, rules):
+    s = StripGeometry(word)
+    for branes in ("one", "two"):
+        walk = glue_strip(s, 3, R, branes)
+        oracle = glue_strip_by_tuples(s, 3, R, branes, rules)
+        assert _resign(walk, word, rules) == oracle, (word, branes)
+    # the rules reach the two-brane series
+    assert oracle != walk, word
+
+
 def test_length_five_glue_walk_and_strip_identity():
     # the 16 words of length 5, one past the acceptance words
     for rest in itertools.product("AB", repeat=4):
