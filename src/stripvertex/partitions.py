@@ -100,11 +100,9 @@ def subpartitions(bound: Partition) -> list[Partition]:
             for tail in gen(i + 1, first):
                 yield (first,) + tail
 
-    # rows must weakly decrease and stay within the bound rows
-    out = set()
-    for lam in gen(0, bound[0]):
-        out.add(lam)
-    return sorted(out, key=lambda m: (sum(m), m))
+    # rows weakly decrease and stay within the bound rows; gen yields each
+    # partition once, as a tuple of its nonzero rows
+    return sorted(gen(0, bound[0]), key=lambda m: (sum(m), m))
 
 
 def z_factor(mu: Partition) -> int:

@@ -13,13 +13,14 @@ dict comparison:
 - num and den together have integer content 1.
 
 Rational content lives in den: 1/2 is num {(0, 0): 1} over den {0: 2}.
-The common factor is found with the primitive polynomial remainder
-sequence over the integers (Brown 1971; Knuth TAOCP vol. 2, 4.6.1) and
-divided out exactly in Z[t].  Most reductions have no common factor; an
-integer evaluation past the roots of den proves that first, without the
-remainder sequence.  A sum, product or quotient of two one-term values
-c * t^i * a^j / d (den {0: d}, as every monomial and almost every numeric
-value is) skips the reduction: one integer gcd gives its canonical form.
+The common factor is found by the heuristic gcd (Char, Geddes & Gonnet
+1989): the integer gcd of the values at one integer xi past the roots of
+den proves most pairs coprime at once; otherwise its base-xi digits give
+a candidate, which a checked division in Z[t] confirms and divides out,
+or rejects for a larger xi.  A sum, product or quotient of two one-term
+values c * t^i * a^j / d (den {0: d}, as every monomial and almost every
+numeric value is) skips the reduction: one integer gcd gives its canonical
+form.
 Printing divides out the content of den, so a scalar prints as rational
 coefficients over a primitive denominator.
 
@@ -50,53 +51,13 @@ _DEN_ONE = {0: 1}
 # ---------------------------------------------------------------------------
 # dense integer polynomial helpers, lowest degree first
 
-def _trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
 def _primitive(c: list[int]) -> list[int]:
     g = 0
     for x in c:
         g = gcd(g, x)
         if g == 1:
             return c
-    if g == 0:
-        return []
     return [x // g for x in c]
-
-
-def _prem_step(a: list[int], b: list[int]) -> list[int]:
-    # pseudo-remainder of a by b; exact integer arithmetic throughout
-    db = len(b) - 1
-    lb = b[-1]
-    r = a[:]
-    while len(r) - 1 >= db:
-        cr = r[-1]
-        dr = len(r) - 1
-        r = [lb * c for c in r]
-        off = dr - db
-        for i in range(db + 1):
-            r[off + i] -= cr * b[i]
-        r.pop()
-        _trim(r)
-        if not r:
-            break
-    return r
-
-
-def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
-    a = _primitive(_trim(a[:]))
-    b = _primitive(_trim(b[:]))
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _prem_step(a, b)
-        a, b = b, _primitive(r)
-    if a and a[-1] < 0:
-        a = [-c for c in a]
-    return a
 
 
 def _dense(p: dict[int, int], shift: int = 0) -> list[int]:
@@ -106,24 +67,6 @@ def _dense(p: dict[int, int], shift: int = 0) -> list[int]:
     return out
 
 
-def _coprime_by_value(den: list[int], polys) -> bool:
-    """True when integer values prove den shares no factor with polys jointly.
-
-    A common factor G in Z[t] makes G(x) divide den(x) and every p(x).  At
-    an integer x two past the Cauchy bound of den's roots, every root r of
-    G has |x - r| > 1, so |G(x)| >= 2 unless G is constant; a gcd of 1 of
-    the values rules out every nonconstant G.  False only means unproven.
-    """
-    x0 = 3 + max(map(abs, den)) // abs(den[-1])
-    for x in (x0, x0 + 1):
-        h = _horner(den, x)
-        for p in polys:
-            h = gcd(h, _horner(p, x))
-            if h == 1:
-                return True
-    return False
-
-
 def _horner(p: list[int], x: int) -> int:
     v = 0
     for c in reversed(p):
@@ -131,9 +74,13 @@ def _horner(p: list[int], x: int) -> int:
     return v
 
 
-def _divexact(p: list[int], g: list[int]) -> list[int]:
-    # quotient of p by g in Z[t]; g must divide p, and a primitive g divides
-    # an integer p with an integer quotient (Gauss's lemma)
+def _quotient(p: list[int], g: list[int]) -> list[int] | None:
+    """p / g in Z[t] for a primitive g, or None when g does not divide p.
+
+    A primitive g that divides p in Q[t] leaves an integer quotient (Gauss's
+    lemma), so a step whose coefficient the lead of g does not divide, or a
+    nonzero remainder, proves g does not divide p.
+    """
     dg = len(g) - 1
     lead = g[-1]
     r = p[:]
@@ -141,11 +88,61 @@ def _divexact(p: list[int], g: list[int]) -> list[int]:
     for k in range(len(out) - 1, -1, -1):
         c = r[k + dg]
         if c:
-            q = c // lead
+            q, m = divmod(c, lead)
+            if m:
+                return None
             out[k] = q
             for i, gi in enumerate(g):
                 r[k + i] -= q * gi
-    return out
+    return None if any(r[:dg]) else out
+
+
+def _cancel(den: list[int],
+            slices: list[list[int]]) -> tuple[list[int], list[list[int]]] | None:
+    """den and the slices divided by their joint gcd, or None when it is 1.
+
+    den is nonconstant, and den and every slice have a nonzero constant term.
+    This is the heuristic gcd (Char, Geddes & Gonnet, GCDHEU, J. Symbolic
+    Comput. 7, 1989): at an integer xi past twice the Cauchy bound of den's
+    roots, h is the integer gcd of den(xi) and every slice's value, and the
+    candidate G is the primitive part of the polynomial P whose coefficients
+    are h's balanced base-xi digits (|digit| <= xi/2), so that P(xi) = h.
+    A G that divides den and every slice is their gcd (up to sign):
+    were the gcd D = G*H, D(xi) would divide h = +-cont(P)*G(xi), so H(xi)
+    would divide cont(P) <= xi/2; yet every root r of H is a root of den,
+    with |xi - r| > xi/2, so |H(xi)| > xi/2 unless H is constant.  The same
+    bound makes a constant G (h <= xi/2, h = 1 in particular) prove den
+    coprime to the slices.  Any other G is false, and xi grows.  The loop
+    ends: with den = D*A and slice_j = D*B_j, some integer combination of
+    A and the B_j is a fixed nonzero integer N, so h = D(xi)*g with g
+    dividing N, and once xi/2 exceeds the coefficients of N*D, P is g*D.
+    """
+    xi = 2 * max(map(abs, den)) + 2
+    while True:
+        h = _horner(den, xi)
+        for p in slices:
+            h = gcd(h, _horner(p, xi))
+            if h == 1:
+                return None
+        digits = []
+        while h:
+            d = h % xi
+            if 2 * d > xi:
+                d -= xi
+            digits.append(d)
+            h = (h - d) // xi
+        if len(digits) == 1:
+            return None
+        g = _primitive(digits)
+        quotients = []
+        for p in (den, *slices):
+            q = _quotient(p, g)
+            if q is None:
+                break
+            quotients.append(q)
+        else:
+            return quotients[0], quotients[1:]
+        xi *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +208,11 @@ def _reduce(num: dict[tuple[int, int], int],
     The input is what the arithmetic produces: nonzero int coefficients and
     min(den) == 0 (a Scalar built by hand passes _clean_input first).  A
     one-term den, which every numeric value has, reduces by its integer
-    content alone; the numeric lane is this same form with t pinned.  The
-    arithmetic does not call this for two one-term operands: Scalar's
-    +, * and / write that canonical form directly, with one gcd.
+    content alone; the numeric lane is this same form with t pinned.  A
+    longer den is divided, with the a-slices of num, by their joint gcd
+    from _cancel, then the joint integer content goes.  The arithmetic does
+    not call this for two one-term operands: Scalar's +, * and / write
+    that canonical form directly, with one gcd.
     """
     if not num:
         return {}, _DEN_ONE
@@ -223,20 +222,16 @@ def _reduce(num: dict[tuple[int, int], int],
         for (te, ae), c in num.items():
             slices.setdefault(ae, {})[te] = c
         shifts = {ae: min(sl) for ae, sl in slices.items()}
-        dense = {ae: _dense(sl, shifts[ae]) for ae, sl in slices.items()}
-        d = g = _dense(den)
-        if not _coprime_by_value(d, dense.values()):
-            for p in dense.values():
-                g = _int_poly_gcd(g, p)
-                if len(g) <= 1:
-                    break
-            if len(g) > 1:
-                den = {e: c for e, c in enumerate(_divexact(d, g)) if c}
-                num = {}
-                for ae, p in dense.items():
-                    for e, c in enumerate(_divexact(p, g)):
-                        if c:
-                            num[(e + shifts[ae], ae)] = c
+        cancelled = _cancel(_dense(den),
+                            [_dense(sl, shifts[ae]) for ae, sl in slices.items()])
+        if cancelled:
+            d, quotients = cancelled
+            den = {e: c for e, c in enumerate(d) if c}
+            num = {}
+            for (ae, shift), p in zip(shifts.items(), quotients):
+                for e, c in enumerate(p):
+                    if c:
+                        num[(e + shift, ae)] = c
     # joint integer content, signed so that den leads positive
     cont = gcd(*den.values(), *num.values())
     if den[max(den)] < 0:

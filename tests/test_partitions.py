@@ -106,6 +106,14 @@ def test_containment_and_subpartitions():
         assert contains((2, 1), lam)
 
 
+def test_subpartitions_are_the_contained_partitions_once_each():
+    every = pt.enumerate_partitions(8)
+    for bound in every:
+        want = sorted((lam for lam in every if contains(bound, lam)),
+                      key=lambda m: (sum(m), m))
+        assert pt.subpartitions(bound) == want, bound
+
+
 def test_z_factor():
     assert pt.z_factor(()) == 1
     assert pt.z_factor((1, 1, 1)) == 6

@@ -9,6 +9,10 @@ result of the same operation.
 Denominators are products of cyclotomic polynomials Phi_n(t), as hook and
 quantum-integer products are, and of the non-cyclotomic content
 polynomial 2 + q + q^2 + q^-1 (q = t^2) that solve_recurrence divides by.
+Four reductions are built by hand as Scalar(num, den) and must give the
+lowest terms of sympy.cancel exactly: two from criterion 6 whose first
+evaluation point gives the heuristic gcd a false candidate, a gcd taken
+jointly over the a-slices, and a repeated factor under integer content.
 The principal specializations of symfunc are checked against the same
 field: h_k at q^(nu + rho) from its generating product, and skew Schur
 values from sympy's determinant of the Jacobi-Trudi matrix.
@@ -225,6 +229,85 @@ def test_rational_constants_print_as_fractions():
     assert str(half) == "1/2"
     x = (R.t_power(1) * R.from_fraction(Fraction(-3, 4))) / (R.one + R.t_power(2))
     assert str(x) == "(-3/4*t)/(1 + t^2)"
+
+
+# --- reductions built by hand, against sympy.cancel ----------------------------
+
+
+def _poly(coeffs, shift=0):
+    return sum(c * T ** (e + shift) for e, c in enumerate(coeffs))
+
+
+def _cancelled(num, den):
+    """num/den in lowest terms by sympy.cancel, written in Scalar's canonical form.
+
+    num and den are dicts of integer coefficients as Scalar takes them, with
+    den's constant term nonzero.
+    """
+    value = (sum(c * T ** te * A ** ae for (te, ae), c in num.items())
+             / sum(c * T ** e for e, c in den.items()))
+    p, q = sympy.fraction(sympy.cancel(value))
+    p_terms = dict(sympy.Poly(p, T, A).terms())
+    q_terms = {e: c for (e,), c in sympy.Poly(q, T).terms()}
+    scale = sympy.ilcm(*(sympy.Rational(c).q for c in (*p_terms.values(), *q_terms.values())))
+    scale /= sympy.igcd(*(c * scale for c in (*p_terms.values(), *q_terms.values())))
+    if q_terms[max(q_terms)] < 0:
+        scale = -scale
+    return ({k: int(c * scale) for k, c in p_terms.items()},
+            {e: int(c * scale) for e, c in q_terms.items()})
+
+
+def _assert_reduces_like_sympy(num, den):
+    x = Scalar(num, den, R)
+    assert_canonical(x)
+    assert (x.num, x.den) == _cancelled(num, den)
+    return x
+
+
+def test_reduction_after_a_false_candidate_with_a_common_factor():
+    # from criterion 6: gcd (t^2 - 1)^2, but the first evaluation point
+    # xi = 8 reads the false candidate 3 + 2t^2 - t^3 + 3t^4, which divides
+    # neither side, so the reduction must try a larger xi
+    num = {(e, 0): c for e, c in enumerate([-2, 0, 3, 0, 0, 0, -1]) if c}
+    den = {e: c for e, c in enumerate([1, 0, -3, 0, 2, 0, 2, 0, -3, 0, 1]) if c}
+    x = _assert_reduces_like_sympy(num, den)
+    assert x.den == {0: 1, 2: -1, 4: -1, 6: 1}
+    assert x.num == {(0, 0): -2, (2, 0): -1}
+
+
+def test_reduction_after_a_false_candidate_of_a_coprime_pair():
+    # from criterion 6: coprime, but xi = 6 reads the false candidate (t - 1)^2
+    num = {(e, 0): c for e, c in enumerate([1, 0, 2, 0, 1, 0, 1]) if c}
+    den = {e: c for e, c in enumerate(
+        [1, 0, -1, 0, -1, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, -1, 0, -1, 0, 1]) if c}
+    x = _assert_reduces_like_sympy(num, den)
+    assert (x.num, x.den) == (num, den)
+
+
+def test_reduction_takes_the_gcd_of_the_a_slices_jointly():
+    # Phi_1 (Phi_2 + a Phi_3) / (Phi_1 Phi_2): the a^0 slice shares Phi_1 Phi_2
+    # with den, the a^1 slice only Phi_1
+    phi = CYCLOTOMIC
+    prod = sympy.Poly(_poly(phi[1]) * _poly(phi[2]), T)
+    slice_a = sympy.Poly(_poly(phi[1]) * _poly(phi[3]), T)
+    num = {(e, 0): int(c) for (e,), c in prod.terms()}
+    num.update({(e, 1): int(c) for (e,), c in slice_a.terms()})
+    den = {e: int(c) for (e,), c in prod.terms()}
+    x = _assert_reduces_like_sympy(num, den)
+    assert x.den == {0: 1, 1: 1}
+    assert x.num == {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1, (2, 1): 1}
+
+
+def test_reduction_of_a_repeated_factor_with_integer_content():
+    # 10 t Phi_2^2 Phi_6 (1 + a) / (6 Phi_2^3 Phi_4) = 5 t Phi_6 (1 + a) / (3 Phi_2 Phi_4)
+    phi = CYCLOTOMIC
+    top = sympy.Poly(10 * _poly(phi[2]) ** 2 * _poly(phi[6]), T)
+    bottom = sympy.Poly(6 * _poly(phi[2]) ** 3 * _poly(phi[4]), T)
+    num = {(e + 1, ae): int(c) for (e,), c in top.terms() for ae in (0, 1)}
+    den = {e: int(c) for (e,), c in bottom.terms()}
+    x = _assert_reduces_like_sympy(num, den)
+    assert x.den == {0: 3, 1: 3, 2: 3, 3: 3}
+    assert x.num == {(e + 1, ae): 5 * c for e, c in enumerate(phi[6]) for ae in (0, 1)}
 
 
 # --- one-term values: the integer path of +, - , * and / ---------------------
