@@ -136,6 +136,10 @@ def _resolve_job(args) -> dict:
     if branes not in ("one", "two"):
         raise JobError("branes must be 'one' or 'two'")
 
+    out = args.out or spec.get("out")
+    if out is not None and not isinstance(out, str):
+        raise JobError("out must be a file path")
+
     return {
         "command": command,
         "cap": cap,
@@ -143,7 +147,7 @@ def _resolve_job(args) -> dict:
         "q": q_label,
         "strip": strip,
         "branes": branes,
-        "out": args.out or spec.get("out"),
+        "out": out,
     }
 
 

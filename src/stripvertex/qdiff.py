@@ -38,8 +38,8 @@ class QSeries(TruncatedSeries):
     _key_mul = staticmethod(operator.add)
     _key_row = staticmethod(lambda d: [d])
 
-    def __init__(self, terms: dict, cap: int, ring, clean: bool = False):
-        super().__init__("p", terms, cap, ring, clean)
+    def __init__(self, terms: dict, cap: int, ring):
+        super().__init__("p", terms, cap, ring)
 
     @staticmethod
     def _size(d: int) -> int:
@@ -76,8 +76,8 @@ def u1_reduce(f: SymFunc) -> QSeries:
 def sigma_q(z: QSeries) -> QSeries:
     """Substitution x -> qx; the x^d coefficient picks up q^d = t^{2d}."""
     ring = z.ring
-    return QSeries({d: c.scale(ring.t_power(2 * d)) for d, c in z.terms.items()},
-                   z.cap, ring, clean=True)
+    terms = {d: c.scale(ring.t_power(2 * d)) for d, c in z.terms.items()}
+    return QSeries._new("p", terms, z.cap, ring)
 
 
 def log_reduce(strip: StripGeometry, cap: int, ring=SYMBOLIC) -> QSeries:

@@ -264,19 +264,20 @@ class Scalar:
 
     __slots__ = ("num", "den", "ring")
 
-    def __init__(self, num, den, ring, reduced: bool = False):
-        if not reduced:
-            num, den = _reduce(*_clean_input(num, den))
-        self.num = num
-        self.den = den
+    def __init__(self, num, den, ring):
+        self.num, self.den = _reduce(*_clean_input(num, den))
         self.ring = ring
 
-    def _new(self, num, den, reduced: bool = False) -> "Scalar":
-        # a result of the arithmetic, in self's class and ring
-        out = object.__new__(type(self))
-        out.num, out.den = (num, den) if reduced else _reduce(num, den)
-        out.ring = self.ring
+    @classmethod
+    def _of(cls, num, den, ring) -> "Scalar":
+        # a value whose num and den are already canonical
+        out = object.__new__(cls)
+        out.num, out.den, out.ring = num, den, ring
         return out
+
+    def _new(self, num, den) -> "Scalar":
+        # a result of the arithmetic, reduced, in self's class and ring
+        return self._of(*_reduce(num, den), self.ring)
 
     # -- predicates ---------------------------------------------------------
     def is_zero(self) -> bool:
@@ -300,13 +301,13 @@ class Scalar:
             if k1 == k2:
                 c, d = c1 * d2 + c2 * d1, d1 * d2
                 if not c:
-                    return self._new({}, _DEN_ONE, True)
+                    return self._of({}, _DEN_ONE, self.ring)
                 g = gcd(c, d)
-                return self._new({k1: c // g}, {0: d // g}, True)
+                return self._of({k1: c // g}, {0: d // g}, self.ring)
             # c1 is prime to d1 and c2 to d2, so the content is gcd(d1, d2)
             g = gcd(d1, d2)
-            return self._new({k1: c1 * (d2 // g), k2: c2 * (d1 // g)}, {0: d1 // g * d2},
-                             True)
+            return self._of({k1: c1 * (d2 // g), k2: c2 * (d1 // g)}, {0: d1 // g * d2},
+                            self.ring)
         if den == oden:
             return self._new(_num_add(self.num, onum), den)
         if len(den) == 1 == len(oden):
@@ -320,8 +321,7 @@ class Scalar:
         return self._new(num, _poly_mul(self.den, oden))
 
     def __neg__(self) -> "Scalar":
-        return type(self)({k: -c for k, c in self.num.items()}, self.den, self.ring,
-                          reduced=True)
+        return self._of({k: -c for k, c in self.num.items()}, self.den, self.ring)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
@@ -333,7 +333,7 @@ class Scalar:
             ((t2, a2), c2), = onum.items()
             c, d = c1 * c2, self.den[0] * oden[0]
             g = gcd(c, d)
-            return self._new({(t1 + t2, a1 + a2): c // g}, {0: d // g}, True)
+            return self._of({(t1 + t2, a1 + a2): c // g}, {0: d // g}, self.ring)
         return self._new(_num_mul(self.num, onum), _poly_mul(self.den, oden))
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
@@ -343,7 +343,7 @@ class Scalar:
             ((t2, a2), c2), = onum.items()
             c, d = c1 * oden[0], self.den[0] * c2
             g = gcd(c, d) if d > 0 else -gcd(c, d)  # the divisor's sign moves into num
-            return self._new({(t1 - t2, a1 - a2): c // g}, {0: d // g}, True)
+            return self._of({(t1 - t2, a1 - a2): c // g}, {0: d // g}, self.ring)
         if not onum:
             raise ZeroDivisionError("division by zero scalar")
         aexps = {ae for (_, ae) in onum}
@@ -395,7 +395,7 @@ class Scalar:
             return self
         num = {(te * k, ae * k): c for (te, ae), c in self.num.items()}
         den = {e * k: c for e, c in self.den.items()}
-        return type(self)(num, den, self.ring, reduced=True)
+        return self._of(num, den, self.ring)
 
     def eval_q(self, t_value: Fraction) -> "LaurentScalar":
         """Evaluate at a rational value of t = q^(1/2); a stays formal."""
@@ -501,7 +501,7 @@ class SymbolicQ:
 
     def __init__(self):
         self.memo: dict = {}
-        self.zero = self._scalar({}, _DEN_ONE, self, reduced=True)
+        self.zero = self._scalar._of({}, _DEN_ONE, self)
         self.one = self.monomial(1)
 
     def from_fraction(self, c) -> Scalar:
@@ -513,8 +513,7 @@ class SymbolicQ:
         if not c:
             return self.zero
         # a rational's numerator and denominator are coprime, denominator > 0
-        return self._scalar({(t_exp, a_exp): c.numerator}, {0: c.denominator}, self,
-                            reduced=True)
+        return self._scalar._of({(t_exp, a_exp): c.numerator}, {0: c.denominator}, self)
 
     def t_power(self, k: int) -> Scalar:
         return self.monomial(1, k)
@@ -526,7 +525,7 @@ class SymbolicQ:
         """The balanced quantum integer {n} = t^n - t^(-n)."""
         if n == 0:
             return self.zero
-        return Scalar({(n, 0): 1, (-n, 0): -1}, _DEN_ONE, self, reduced=True)
+        return Scalar._of({(n, 0): 1, (-n, 0): -1}, _DEN_ONE, self)
 
     def __repr__(self):
         return "SymbolicQ()"
@@ -583,11 +582,6 @@ class NumericQ(SymbolicQ):
 SYMBOLIC = SymbolicQ()
 
 
-def quantum_integer(n: int, ring=SYMBOLIC):
-    """The balanced quantum integer {n} = q^(n/2) - q^(-n/2)."""
-    return ring.quantum_int(n)
-
-
 # ---------------------------------------------------------------------------
 # the truncated series core, and its instance in named formal parameters
 
@@ -621,20 +615,19 @@ class TruncatedSeries:
     _combined = False
     _lift = staticmethod(lambda scalar: NovikovSeries.constant(scalar))
 
-    def __init__(self, basis: str, terms: dict, cap, ring, clean: bool = False):
+    def __init__(self, basis: str, terms: dict, cap, ring):
         if basis not in _BASES:
             raise ValueError(f"unknown basis {basis!r}")
         if cap < 0:
             raise ValueError("cap must be nonnegative")
-        self.basis, self.cap, self.ring = basis, cap, ring
-        self.terms = terms if clean else {}
-        if not clean:
-            for key, c in terms.items():
-                self.add_term(key, c)
+        self.basis, self.cap, self.ring, self.terms = basis, cap, ring, {}
+        for key, c in terms.items():
+            self.add_term(key, c)
 
     # -- constructors ---------------------------------------------------------
     @classmethod
     def _new(cls, basis: str, terms: dict, cap, ring):
+        # terms and a cap that already meet everything __init__ checks
         out = object.__new__(cls)
         out.basis, out.terms, out.cap, out.ring = basis, terms, cap, ring
         return out
@@ -826,6 +819,17 @@ class TruncatedSeries:
 Key = tuple[tuple[str, int], ...]
 
 
+def _novikov_key(pairs) -> Key:
+    # the key of a product of (name, exponent) factors: names sorted, a
+    # repeated name's exponents added, zero exponents dropped
+    d: dict[str, int] = {}
+    for n, e in pairs:
+        if e < 0:
+            raise ValueError("parameter exponents must be nonnegative")
+        d[n] = d.get(n, 0) + e
+    return tuple(sorted((n, e) for n, e in d.items() if e))
+
+
 def _merge_keys(k1: Key, k2: Key) -> Key:
     if not k2:
         return k1
@@ -840,10 +844,10 @@ def _merge_keys(k1: Key, k2: Key) -> Key:
 class NovikovSeries(TruncatedSeries):
     """Truncated series in named formal parameters with scalar coefficients.
 
-    Terms are keyed by sorted tuples of (name, positive exponent) pairs; the
-    empty key is the constant term.  A term is kept while its total degree
-    is at most cap; the default cap None means no truncation, held as
-    cap = math.inf.
+    Terms are keyed by sorted tuples of (name, positive exponent) pairs, to
+    which the constructor brings every key (_novikov_key); the empty key is
+    the constant term.  A term is kept while its total degree is at most
+    cap; the default cap None means no truncation, held as cap = math.inf.
     """
 
     __slots__ = ()
@@ -851,9 +855,10 @@ class NovikovSeries(TruncatedSeries):
     _key_mul = staticmethod(_merge_keys)
     _lift = staticmethod(lambda scalar: scalar)
 
-    def __init__(self, terms: dict[Key, object], ring, cap: int | None = None,
-                 clean: bool = False):
-        super().__init__("p", terms, inf if cap is None else cap, ring, clean)
+    def __init__(self, terms: dict[Key, object], ring, cap: int | None = None):
+        super().__init__("p", {}, inf if cap is None else cap, ring)
+        for key, c in terms.items():
+            self.add_term(_novikov_key(key), c)
 
     @staticmethod
     def _size(key: Key) -> int:
@@ -862,14 +867,15 @@ class NovikovSeries(TruncatedSeries):
     # -- constructors -------------------------------------------------------
     @classmethod
     def constant(cls, scalar, cap: int | None = None) -> "NovikovSeries":
-        return cls({(): scalar}, scalar.ring, cap)
+        out = cls.zero(scalar.ring, inf if cap is None else cap)
+        out.add_term((), scalar)
+        return out
 
     @classmethod
     def monomial(cls, exps: dict[str, int], scalar, cap: int | None = None) -> "NovikovSeries":
-        key = tuple(sorted((n, e) for n, e in exps.items() if e))
-        if any(e < 0 for _, e in key):
-            raise ValueError("parameter exponents must be nonnegative")
-        return cls({key: scalar}, scalar.ring, cap)
+        out = cls.zero(scalar.ring, inf if cap is None else cap)
+        out.add_term(_novikov_key(exps.items()), scalar)
+        return out
 
     # -- operations on the scalar coefficients -------------------------------
     def constant_term(self):

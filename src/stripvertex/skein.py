@@ -91,12 +91,9 @@ def _psi_impl(xi, cap, ring, form, inverse: bool) -> SymFunc:
     for _ in range(cap):
         xpow.append(xpow[-1] * xi)
     if form == "product":
-        terms = {}
-        for lam in enumerate_partitions(cap):
-            c = xpow[size(lam)].scale(_hook_content(lam, ring, inverse))
-            if not c.is_zero():
-                terms[lam] = c
-        return SymFunc("schur", terms, cap, ring, clean=True)
+        terms = {lam: xpow[size(lam)].scale(_hook_content(lam, ring, inverse))
+                 for lam in enumerate_partitions(cap)}
+        return SymFunc("schur", terms, cap, ring)
     log = SymFunc.zero(ring, cap)
     for d in range(1, cap + 1):
         w = disk_weight(d, ring)

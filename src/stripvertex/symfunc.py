@@ -242,7 +242,7 @@ class SymFunc2(TruncatedSeries):
     def slice_first(self) -> SymFunc:
         """The part paired with the empty partition in the second slot."""
         terms = {l1: c for (l1, l2), c in self.terms.items() if l2 == ()}
-        return SymFunc(self.basis, terms, self.cap, self.ring, clean=True)
+        return SymFunc._new(self.basis, terms, self.cap, self.ring)
 
 
 def tensor(f: SymFunc, g: SymFunc, cap: int | None = None) -> SymFunc2:

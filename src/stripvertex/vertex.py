@@ -101,10 +101,6 @@ def topological_vertex(mu1, mu2, mu3, ring=SYMBOLIC):
     ranges over partitions contained in both mu1 and the transpose of mu3.
     """
     mu1, mu2, mu3 = tuple(mu1), tuple(mu2), tuple(mu3)
-    memo = ring.memo
-    key = ("vertex", mu1, mu2, mu3)
-    if key in memo:
-        return memo[key]
     m2t = transpose(mu2)
     m3t = transpose(mu3)
     envelope = tuple(min(a, b) for a, b in zip(mu1, m3t))
@@ -113,9 +109,7 @@ def topological_vertex(mu1, mu2, mu3, ring=SYMBOLIC):
         left = principal_spec_skew(mu1, eta, m2t, ring)
         right = principal_spec_skew(m3t, eta, mu2, ring)
         tot = tot + left * right
-    out = ring.t_power(kappa(mu3)) * principal_spec_skew(mu2, (), (), ring) * tot
-    memo[key] = out
-    return out
+    return ring.t_power(kappa(mu3)) * principal_spec_skew(mu2, (), (), ring) * tot
 
 
 def framed_vertex(mu1, mu2, mu3, f1: int, f2: int, f3: int, ring=SYMBOLIC):
@@ -140,7 +134,7 @@ def framed_vertex(mu1, mu2, mu3, f1: int, f2: int, f3: int, ring=SYMBOLIC):
 def _vertex_factor(vtype: str, left: Partition, right: Partition, ring):
     m1, m2 = (left, right) if vtype == "B" else (right, left)
     memo = ring.memo
-    key = ("framed", m1, m2)
+    key = ("vertex", m1, m2)
     if key not in memo:
         memo[key] = framed_vertex(m1, m2, (), -1, 0, 0, ring)
     return memo[key]
@@ -245,7 +239,7 @@ def closed_form(strip: StripGeometry, cap: int, ring=SYMBOLIC,
 def _one_brane_p(strip: StripGeometry, cap: int, ring) -> SymFunc:
     # one_brane_closed_form in the power sum basis
     terms = {(d,): strip.disk_row(d, disk_weight(d, ring)) for d in range(1, cap + 1)}
-    return sym_exp(SymFunc("p", terms, cap, ring, clean=True))
+    return sym_exp(SymFunc._new("p", terms, cap, ring))
 
 
 def one_brane_closed_form(strip: StripGeometry, cap: int, ring=SYMBOLIC) -> SymFunc:
@@ -267,7 +261,7 @@ def one_brane_closed_form(strip: StripGeometry, cap: int, ring=SYMBOLIC) -> SymF
 
 def _swap_slots(z: SymFunc2) -> SymFunc2:
     terms = {(l2, l1): c for (l1, l2), c in z.terms.items()}
-    return SymFunc2(z.basis, terms, z.cap, z.ring, clean=True)
+    return SymFunc2._new(z.basis, terms, z.cap, z.ring)
 
 
 def two_leg_vertex_series(cap: int, ring=SYMBOLIC) -> SymFunc2:

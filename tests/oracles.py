@@ -120,7 +120,7 @@ def skew_schur(lam: Partition, mu: Partition, ring, cap: int | None = None) -> S
         c = _littlewood_richardson(mu, nu).get(lam, 0)
         if c:
             terms[nu] = NovikovSeries.constant(ring.from_fraction(c))
-    return SymFunc("schur", terms, cap, ring, clean=True)
+    return SymFunc("schur", terms, cap, ring)
 
 
 def sign_transpose_residual(lam: Partition, mu: Partition, ring=SYMBOLIC):

@@ -86,7 +86,7 @@ def _diagonal_exp(cap, alternating):
             terms[((k,) * m, (k,) * m)] = NovikovSeries.constant(
                 R.from_fraction(c))
             m += 1
-        out = out * SymFunc2("p", terms, cap, R, clean=True)
+        out = out * SymFunc2("p", terms, cap, R)
     return out
 
 
@@ -95,7 +95,7 @@ def _schur_diagonal(cap, transpose_second):
     terms = {}
     for lam in enumerate_partitions(cap // 2):
         terms[(lam, transpose(lam) if transpose_second else lam)] = one
-    return SymFunc2("schur", terms, cap, R, clean=True)
+    return SymFunc2("schur", terms, cap, R)
 
 
 def _h_in_p(k, cap):
@@ -144,7 +144,7 @@ def _check_generalized_cauchy(mu, cap2):
             lhs = lhs + tensor(skew, SymFunc.schur(second, R, cap2), cap2)
         kernel = _schur_diagonal(cap2, transpose_second)
         factor = transpose(mu) if transpose_second else mu
-        shift = SymFunc2("schur", {((), factor): one}, cap2, R, clean=True)
+        shift = SymFunc2("schur", {((), factor): one}, cap2, R)
         if not lhs == kernel * shift:
             return False
     return True

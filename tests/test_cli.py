@@ -110,6 +110,17 @@ def test_invalid_inputs_exit_two(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("out", [True, False, 2, 1.5, ["x"], {"a": 1}],
+                         ids=["true", "false", "int", "float", "list", "object"])
+def test_out_that_is_not_a_path_exits_two(out, tmp_path, capsys):
+    # fd 1 or 2 taken as a path would write there, then close it
+    spec = write_spec(tmp_path, command="verify-dilog", truncation=1, out=out)
+    status, captured = run_cli(capsys, "--spec", spec)
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err == "error: out must be a file path\n"
+
+
 def test_failed_verification_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(cli, "verify_two_leg_product",
                         lambda cap, ring: {"check": "two-leg", "pass": False})

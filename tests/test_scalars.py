@@ -9,7 +9,7 @@ from stripvertex.scalars import (
     SYMBOLIC,
     NovikovSeries,
     NumericQ,
-    quantum_integer,
+    Scalar,
 )
 
 R = SYMBOLIC
@@ -45,15 +45,22 @@ def random_scalar(rng, with_a=True):
     for _ in range(rng.randint(0, 2)):
         e = rng.randint(1, 4)
         den[e] = den.get(e, Fraction(0)) + Fraction(rng.randint(-4, 4))
-    from stripvertex.scalars import Scalar
     return Scalar(num, den, R)
 
 
+def test_constructor_always_reduces():
+    # 2/2 built by hand is the one of the ring, in value, print and hash
+    x = Scalar({(0, 0): 2}, {0: 2}, R)
+    assert x == R.one and str(x) == "1" and hash(x) == hash(R.one)
+    with pytest.raises(TypeError):
+        Scalar({(0, 0): 2}, {0: 2}, R, reduced=True)
+
+
 def test_quantum_integer_basic():
-    q1 = quantum_integer(1)
+    q1 = R.quantum_int(1)
     assert str(q1) == "-t^-1 + t"
-    assert quantum_integer(0).is_zero()
-    assert quantum_integer(-2) == -quantum_integer(2)
+    assert R.quantum_int(0).is_zero()
+    assert R.quantum_int(-2) == -R.quantum_int(2)
 
 
 def test_printing_divides_content_and_fixes_sign():
@@ -67,7 +74,7 @@ def test_printing_divides_content_and_fixes_sign():
 
 def test_quantum_ratio_is_laurent():
     # {2}/{1} = t + 1/t by polynomial long division
-    got = _div_checked(quantum_integer(2), quantum_integer(1))
+    got = _div_checked(R.quantum_int(2), R.quantum_int(1))
     assert got == t(1) + t(-1)
 
 
@@ -106,7 +113,7 @@ def test_division_by_a_monomial_allowed():
 
 
 def test_pow_and_inverse():
-    x = quantum_integer(2)
+    x = R.quantum_int(2)
     assert x ** 0 == R.one
     assert x ** 3 == x * x * x
     assert (x ** -2) * x ** 2 == R.one
@@ -117,13 +124,13 @@ def test_subs_q_inverse_involution():
     for _ in range(30):
         x = random_scalar(rng)
         assert x.subs_q_inverse().subs_q_inverse() == x
-    assert quantum_integer(3).subs_q_inverse() == -quantum_integer(3)
+    assert R.quantum_int(3).subs_q_inverse() == -R.quantum_int(3)
 
 
 def test_subs_a_one():
     x = a(1) - a(-1)
     assert x.subs_a_one().is_zero()
-    y = (a(1) - a(-1)) / quantum_integer(1)
+    y = (a(1) - a(-1)) / R.quantum_int(1)
     assert y.subs_a_one().is_zero()
 
 
@@ -155,7 +162,7 @@ def test_eval_q_is_ring_homomorphism():
 
 def test_eval_q_example():
     # {2} at t = 2 is 2^2 - 2^-2 = 15/4
-    got = quantum_integer(2).eval_q(Fraction(2))
+    got = R.quantum_int(2).eval_q(Fraction(2))
     assert got.num == {(0, 0): 15} and got.den == {0: 4}
 
 
@@ -171,7 +178,7 @@ def test_numeric_ring_from_q():
 
 def test_numeric_matches_symbolic_eval():
     ring = NumericQ(Fraction(3, 2))
-    sym = quantum_integer(3) * a(2) + frac(1, 2) * t(-1)
+    sym = R.quantum_int(3) * a(2) + frac(1, 2) * t(-1)
     assert sym.eval_q(Fraction(3, 2)) == (
         ring.quantum_int(3) * ring.a_power(2) + ring.from_fraction(Fraction(1, 2)) * ring.t_power(-1)
     )
@@ -234,8 +241,27 @@ def test_truncation_consistency():
         assert full == trunc
 
 
+def test_novikov_keys_have_one_form():
+    one = R.one
+    q1q2 = Q("Q1") * Q("Q2")
+    # the order of the names does not matter, and two keys of one form add up
+    q2q1 = NovikovSeries({(("Q2", 1), ("Q1", 1)): one}, R)
+    assert q2q1 == q1q2 and (q2q1 - q1q2).is_zero()
+    both = NovikovSeries({(("Q1", 1), ("Q2", 1)): one, (("Q2", 1), ("Q1", 1)): one}, R)
+    assert both == q1q2.scale(frac(2))
+    # a repeated name's exponents add, and a zero exponent drops out
+    assert NovikovSeries({(("Q1", 1), ("Q1", 2)): one}, R) == NovikovSeries.monomial(
+        {"Q1": 3}, one)
+    assert NovikovSeries({(("Q1", 0),): one}, R) == NovikovSeries.constant(one)
+    # a negative exponent is refused, by the constructor as by monomial
+    with pytest.raises(ValueError, match="nonnegative"):
+        NovikovSeries({(("Q1", -1),): one}, R)
+    with pytest.raises(ValueError, match="nonnegative"):
+        NovikovSeries.monomial({"Q1": -1}, one)
+
+
 def test_series_inverse():
-    s = NovikovSeries.constant(R.one, 4) + Q("Q1", 4).scale(-quantum_integer(1))
+    s = NovikovSeries.constant(R.one, 4) + Q("Q1", 4).scale(-R.quantum_int(1))
     inv = s.inverse()
     assert (s * inv) == NovikovSeries.constant(R.one, 4)
     with pytest.raises(ValueError):
@@ -246,8 +272,8 @@ def test_series_inverse():
 
 
 def test_series_adams():
-    s = NovikovSeries.constant(quantum_integer(1), None) + Q("Q1").scale(t(1))
+    s = NovikovSeries.constant(R.quantum_int(1), None) + Q("Q1").scale(t(1))
     got = s.adams(2)
-    expect = NovikovSeries.constant(quantum_integer(1).adams(2), None) + NovikovSeries.monomial(
+    expect = NovikovSeries.constant(R.quantum_int(1).adams(2), None) + NovikovSeries.monomial(
         {"Q1": 2}, t(2), None)
     assert got == expect

@@ -324,6 +324,17 @@ def test_zero_series_is_falsy(cls, ring):
 
 
 @pytest.mark.parametrize("cls", [SymFunc, SymFunc2], ids=lambda c: c.__name__)
+def test_constructor_keeps_no_zero_term_and_no_term_above_cap(cls):
+    keys = EXP_KEYS[cls](3)
+    small, big = keys[0], keys[-1]  # of sizes 1 and 3
+    zero, one = NovikovSeries.constant(R.zero), NovikovSeries.constant(R.one)
+    f = cls("p", {small: zero, big: one}, 2, R)
+    assert f.is_zero() and f == cls.zero(R, 2)
+    with pytest.raises(TypeError):
+        cls("p", {}, 2, R, clean=True)
+
+
+@pytest.mark.parametrize("cls", [SymFunc, SymFunc2], ids=lambda c: c.__name__)
 def test_truncation_never_raises_a_coefficient_cap(cls):
     # a coefficient known only to Q-degree 1 keeps that cap inside a series
     # with room for more, so its square does not invent a Q^2 term

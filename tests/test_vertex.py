@@ -206,7 +206,7 @@ def _resign(z: SymFunc2, word: str, rules) -> SymFunc2:
             odd = sum(e for name, e in key if name in flipped) + (size(l2) if end else 0)
             coeffs[key] = -c if odd % 2 else c
         terms[(l1, l2)] = NovikovSeries(coeffs, series.ring, series.cap)
-    return SymFunc2(z.basis, terms, z.cap, z.ring, clean=True)
+    return SymFunc2(z.basis, terms, z.cap, z.ring)
 
 
 @pytest.mark.parametrize("rules", ODD_RULES)
