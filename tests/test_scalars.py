@@ -1,16 +1,19 @@
 """Tests for exact scalar arithmetic and truncated parameter series."""
+import inspect
 import operator
 import random
 from fractions import Fraction
 
 import pytest
 
+from stripvertex.qdiff import QSeries
 from stripvertex.scalars import (
     SYMBOLIC,
     NovikovSeries,
     NumericQ,
     Scalar,
 )
+from stripvertex.symfunc import SymFunc, SymFunc2
 
 R = SYMBOLIC
 
@@ -52,8 +55,12 @@ def test_constructor_always_reduces():
     # 2/2 built by hand is the one of the ring, in value, print and hash
     x = Scalar({(0, 0): 2}, {0: 2}, R)
     assert x == R.one and str(x) == "1" and hash(x) == hash(R.one)
-    with pytest.raises(TypeError):
-        Scalar({(0, 0): 2}, {0: 2}, R, reduced=True)
+
+
+@pytest.mark.parametrize("cls", [Scalar, NovikovSeries, SymFunc, SymFunc2, QSeries],
+                         ids=lambda c: c.__name__)
+def test_no_public_constructor_can_skip_normalising(cls):
+    assert not {"reduced", "clean"} & set(inspect.signature(cls).parameters)
 
 
 def test_quantum_integer_basic():
