@@ -17,10 +17,11 @@ The common factor is found by the heuristic gcd (Char, Geddes & Gonnet
 1989): the integer gcd of the values at one integer xi past the roots of
 den proves most pairs coprime at once; otherwise its base-xi digits give
 a candidate, which a checked division in Z[t] confirms and divides out,
-or rejects for a larger xi.  A sum, product or quotient of two one-term
-values c * t^i * a^j / d (den {0: d}, as every monomial and almost every
-numeric value is) skips the reduction: one integer gcd gives its canonical
-form.
+or rejects for a larger xi.  It runs only where a factor can exist: den
+nonconstant and num of more than one term (a monomial num shares none with
+den, whose constant term is nonzero).  A sum over two polynomial dens goes
+over their lcm, and +, * and / of two one-term values c * t^i * a^j / d
+(as every monomial and almost every numeric value is) skip the reduction.
 Printing divides out the content of den, so a scalar prints as rational
 coefficients over a primitive denominator.
 
@@ -187,10 +188,19 @@ def _num_add(n1, n2, m1: int = 1, m2: int = 1):
     return out
 
 
+def _exact(coeffs, exps) -> None:
+    for c in coeffs:
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError("scalar coefficients must be ints or Fractions")
+    for e in exps:
+        if not isinstance(e, int):
+            raise ValueError("exponents must be integers")
+
+
 def _clean_input(num: dict, den: dict) -> tuple[dict, dict]:
-    # a Scalar built by hand: drop zero terms, scale num and den by the lcm of
-    # the denominators of their coefficients (a caller may pass ints or
-    # Fractions) and move the powers of t out of den
+    # a Scalar built by hand: check it is exact, drop zero terms, scale num and
+    # den by the lcm of their coefficients' denominators, move t's powers out of den
+    _exact((*num.values(), *den.values()), (*den, *(e for k in num for e in k)))
     num = {k: c for k, c in num.items() if c}
     den = {e: c for e, c in den.items() if c}
     if not den:
@@ -206,17 +216,16 @@ def _reduce(num: dict[tuple[int, int], int],
     """Bring num/den to the canonical form described in the module docstring.
 
     The input is what the arithmetic produces: nonzero int coefficients and
-    min(den) == 0 (a Scalar built by hand passes _clean_input first).  A
-    one-term den, which every numeric value has, reduces by its integer
-    content alone; the numeric lane is this same form with t pinned.  A
-    longer den is divided, with the a-slices of num, by their joint gcd
-    from _cancel, then the joint integer content goes.  The arithmetic does
-    not call this for two one-term operands: Scalar's +, * and / write
-    that canonical form directly, with one gcd.
+    min(den) == 0 (a Scalar built by hand passes _clean_input first).  The
+    gcd search (_cancel) runs only for a nonconstant den and a num of more
+    than one term, and divides den and the a-slices of num by their joint
+    gcd; a one-term den (every numeric value) or num shares at most an
+    integer with the other, which the joint integer content step removes.
+    Scalar's +, * and / of two one-term operands write that form directly.
     """
     if not num:
         return {}, _DEN_ONE
-    if len(den) > 1:
+    if len(den) > 1 < len(num):
         # cancel any common polynomial factor (powers of t live in num)
         slices: dict[int, dict[int, int]] = {}
         for (te, ae), c in num.items():
@@ -227,11 +236,8 @@ def _reduce(num: dict[tuple[int, int], int],
         if cancelled:
             d, quotients = cancelled
             den = {e: c for e, c in enumerate(d) if c}
-            num = {}
-            for (ae, shift), p in zip(shifts.items(), quotients):
-                for e, c in enumerate(p):
-                    if c:
-                        num[(e + shift, ae)] = c
+            num = {(e + shift, ae): c for (ae, shift), p in zip(shifts.items(), quotients)
+                   for e, c in enumerate(p) if c}
     # joint integer content, signed so that den leads positive
     cont = gcd(*den.values(), *num.values())
     if den[max(den)] < 0:
@@ -315,10 +321,16 @@ class Scalar:
             g = gcd(den[0], oden[0])
             return self._new(_num_add(self.num, onum, oden[0] // g, den[0] // g),
                              {0: den[0] // g * oden[0]})
-        d2 = {(e, 0): c for e, c in oden.items()}
-        d1 = {(e, 0): c for e, c in self.den.items()}
-        num = _num_add(_num_mul(self.num, d2), _num_mul(onum, d1))
-        return self._new(num, _poly_mul(self.den, oden))
+        m1, m2 = oden, den
+        if len(den) > 1 < len(oden):
+            # two polynomial dens: add over their lcm den * (oden / g), g their gcd
+            cancelled = _cancel(_dense(den), [_dense(oden)])
+            if cancelled:
+                m2, m1 = ({e: c for e, c in enumerate(p) if c}
+                          for p in (cancelled[0], *cancelled[1]))
+        num = _num_add(_num_mul(num, {(e, 0): c for e, c in m1.items()}),
+                       _num_mul(onum, {(e, 0): c for e, c in m2.items()}))
+        return self._new(num, _poly_mul(den, m1))
 
     def __neg__(self) -> "Scalar":
         return self._of({k: -c for k, c in self.num.items()}, self.den, self.ring)
@@ -505,11 +517,12 @@ class SymbolicQ:
         self.one = self.monomial(1)
 
     def from_fraction(self, c) -> Scalar:
-        """The rational constant c (an int, or a rational with numerator/denominator)."""
+        """The rational constant c, an int or a Fraction."""
         return self.monomial(c)
 
     def monomial(self, c, t_exp: int = 0, a_exp: int = 0) -> Scalar:
-        """c * t^t_exp * a^a_exp for a rational c (as in from_fraction)."""
+        """c * t^t_exp * a^a_exp for an int or Fraction c and int exponents."""
+        _exact((c,), (t_exp, a_exp))
         if not c:
             return self.zero
         # a rational's numerator and denominator are coprime, denominator > 0
@@ -562,6 +575,8 @@ class NumericQ(SymbolicQ):
 
     def monomial(self, c, t_exp: int = 0, a_exp: int = 0) -> LaurentScalar:
         if t_exp:
+            # check c and t_exp before they are folded; monomial checks the rest
+            _exact((c,), (t_exp,))
             c = c * self.t ** t_exp
         return super().monomial(c, 0, a_exp)
 
@@ -824,8 +839,8 @@ def _novikov_key(pairs) -> Key:
     # repeated name's exponents added, zero exponents dropped
     d: dict[str, int] = {}
     for n, e in pairs:
-        if e < 0:
-            raise ValueError("parameter exponents must be nonnegative")
+        if not isinstance(e, int) or e < 0:
+            raise ValueError("parameter exponents must be nonnegative integers")
         d[n] = d.get(n, 0) + e
     return tuple(sorted((n, e) for n, e in d.items() if e))
 

@@ -267,6 +267,40 @@ def test_novikov_keys_have_one_form():
         NovikovSeries.monomial({"Q1": -1}, one)
 
 
+@pytest.mark.parametrize("exps", [{"Q1": 0.5}, {"Q1": 1.0}])
+def test_novikov_exponents_must_be_integers(exps):
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        NovikovSeries.monomial(exps, R.one, 1)
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        NovikovSeries({tuple(exps.items()): R.one}, R)
+
+
+@pytest.mark.parametrize("ring", [R, NumericQ(Fraction(3, 2))], ids=["symbolic", "numeric"])
+def test_monomial_takes_exact_input_only(ring):
+    for t_exp, a_exp in ((0.5, 0), (1.0, 0), (0, 0.5)):
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            ring.monomial(1, t_exp, a_exp)
+    for c in (0.5, 1.0, "1", None):
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            ring.monomial(c)
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            ring.from_fraction(c)
+    assert ring.monomial(Fraction(6, 4), 1) == ring.monomial(Fraction(3, 2)) * ring.t_power(1)
+
+
+def test_scalar_constructor_takes_exact_input_only():
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        Scalar({(0.5, 0): 1}, {0: 1}, R)
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        Scalar({(0, 0): 1}, {1.0: 1}, R)
+    for c in (0.1, "1"):
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            Scalar({(0, 0): c}, {0: 1}, R)
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            Scalar({(0, 0): 1}, {0: c}, R)
+    assert Scalar({(0, 0): Fraction(1, 10)}, {0: 1}, R) == frac(1, 10)
+
+
 def test_series_inverse():
     s = NovikovSeries.constant(R.one, 4) + Q("Q1", 4).scale(-R.quantum_int(1))
     inv = s.inverse()

@@ -13,6 +13,11 @@ Four reductions are built by hand as Scalar(num, den) and must give the
 lowest terms of sympy.cancel exactly: two from criterion 6 whose first
 evaluation point gives the heuristic gcd a false candidate, a gcd taken
 jointly over the a-slices, and a repeated factor under integer content.
+The two places where the arithmetic decides whether to look for a
+polynomial gcd are checked against sympy.cancel in the same way: a value
+with a one-term numerator, whose products never search (a monkeypatched
+_cancel shows it), and a sum over two polynomial denominators, which goes
+over their lcm, coprime or sharing a factor, down to a sum that is zero.
 The principal specializations of symfunc are checked against the same
 field: h_k at q^(nu + rho) from its generating product, and skew Schur
 values from sympy's determinant of the Jacobi-Trudi matrix.
@@ -24,6 +29,7 @@ from math import gcd
 import pytest
 
 from stripvertex.partitions import enumerate_partitions
+from stripvertex import scalars
 from stripvertex.scalars import SYMBOLIC, NumericQ, Scalar
 from stripvertex.symfunc import principal_spec_h, principal_spec_skew
 
@@ -249,7 +255,9 @@ def _cancelled(num, den):
     p, q = sympy.fraction(sympy.cancel(value))
     p_terms = dict(sympy.Poly(p, T, A).terms())
     q_terms = {e: c for (e,), c in sympy.Poly(q, T).terms()}
-    scale = sympy.ilcm(*(sympy.Rational(c).q for c in (*p_terms.values(), *q_terms.values())))
+    # a sympy Integer, so that dividing by the content below stays exact
+    scale = sympy.Integer(sympy.ilcm(*(sympy.Rational(c).q
+                                       for c in (*p_terms.values(), *q_terms.values()))))
     scale /= sympy.igcd(*(c * scale for c in (*p_terms.values(), *q_terms.values())))
     if q_terms[max(q_terms)] < 0:
         scale = -scale
@@ -308,6 +316,162 @@ def test_reduction_of_a_repeated_factor_with_integer_content():
     x = _assert_reduces_like_sympy(num, den)
     assert x.den == {0: 3, 1: 3, 2: 3, 3: 3}
     assert x.num == {(e + 1, ae): 5 * c for e, c in enumerate(phi[6]) for ae in (0, 1)}
+
+
+# --- where the gcd search runs: one-term numerators, and sums over the lcm -----
+
+
+def _den_mul(p, q):
+    # the product of two dens given as {t exp: c}
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _den_of(rng, factors=None):
+    """A small integer times a product of FACTORS (random ones by default), as a den."""
+    if factors is None:
+        factors = [rng.choice(FACTORS) for _ in range(rng.randint(1, 3))]
+    den = {0: rng.randint(1, 6)}
+    for f in factors:
+        den = _den_mul(den, dict(enumerate(f)))
+    return den
+
+
+def _one_term_over(rng, factors=None):
+    """c t^i a^j / (d * a product of FACTORS), built by hand: (Scalar, num, den)."""
+    num = {(rng.randint(-3, 3), rng.randint(-2, 2)): rng.choice((-1, 1)) * rng.randint(1, 12)}
+    den = _den_of(rng, factors)
+    return Scalar(num, den, R), num, den
+
+
+def _assert_lowest(got, num, den):
+    """got is canonical and is num/den in the lowest terms of sympy.cancel.
+
+    The powers t^i a^j common to num's terms are taken out before the cancel
+    and put back after: den has a nonzero constant term and no a.
+    """
+    assert_canonical(got)
+    low = (min(te for te, _ in num), min(ae for _, ae in num))
+    p, q = _cancelled({(te - low[0], ae - low[1]): c for (te, ae), c in num.items()}, den)
+    assert (got.num, got.den) == ({(te + low[0], ae + low[1]): c for (te, ae), c in p.items()}, q)
+
+
+def test_one_term_product_removes_integer_content():
+    # 6t/(1+t) * 1/(3(1-t)) = 2t/((1+t)(1-t))
+    t, one = R.t_power(1), R.one
+    x, y = R.monomial(6, 1) / (one + t), one / (R.monomial(3) * (one - t))
+    for got in (x * y, y * x):
+        assert_canonical(got)
+        assert got.num == {(1, 0): -2} and got.den == {0: -1, 2: 1}
+        assert str(got) == "(-2*t)/(-1 + t^2)"
+        _assert_lowest(got, {(1, 0): 6}, {0: 3, 2: -3})
+
+
+def test_one_term_products_and_quotients_match_sympy_cancel():
+    rng = random.Random(89)
+    for _ in range(60):
+        x, n1, d1 = _one_term_over(rng)
+        y, n2, d2 = _one_term_over(rng)
+        ((k1, c1),), ((k2, c2),) = n1.items(), n2.items()
+        prod_num = {(k1[0] + k2[0], k1[1] + k2[1]): c1 * c2}
+        for got in (x * y, y * x):
+            _assert_lowest(got, prod_num, _den_mul(d1, d2))
+        # a one-term divisor over an integer, on either side of /
+        m_c, m_d = rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 12)
+        m_k = (rng.randint(-3, 3), rng.randint(-2, 2))
+        m = R.monomial(Fraction(m_c, m_d), *m_k)
+        _assert_lowest(x / m, {(k1[0] - m_k[0], k1[1] - m_k[1]): c1 * m_d},
+                       {e: c * m_c for e, c in d1.items()})
+        inverse_num = {(e + m_k[0] - k1[0], m_k[1] - k1[1]): c * m_c for e, c in d1.items()}
+        _assert_lowest(m / x, inverse_num, {0: m_d * c1})
+
+
+def _several_over(rng, factors):
+    """A numerator of a few terms over d * the product of factors, by hand."""
+    num = {}
+    for _ in range(rng.randint(1, 4)):
+        key = (rng.randint(-2, 3), rng.randint(-1, 1))
+        num[key] = num.get(key, 0) + rng.randint(-6, 6)
+    num = {k: c for k, c in num.items() if c} or {(0, 0): 1}
+    den = _den_of(rng, factors)
+    return Scalar(num, den, R), num, den
+
+
+def _raw_sum(n1, d1, n2, d2):
+    # n1/d1 + n2/d2 over d1 * d2, unreduced
+    num = {}
+    for n, d in ((n1, d2), (n2, d1)):
+        for (te, ae), c in n.items():
+            for e, dc in d.items():
+                num[(te + e, ae)] = num.get((te + e, ae), 0) + c * dc
+    return {k: c for k, c in num.items() if c}, _den_mul(d1, d2)
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["coprime", "shared-factor"])
+def test_sums_over_two_polynomial_dens_match_sympy_cancel(shared):
+    rng = random.Random(97 + shared)
+    names = list(CYCLOTOMIC) + ["content"]
+    for _ in range(25):
+        picks = rng.sample(names, 3)
+        f1, f2, common = ([CYCLOTOMIC.get(n, RECURRENCE_CONTENT)] for n in picks)
+        if shared:
+            f1, f2 = f1 + common, f2 + common * rng.randint(1, 2)
+        x, n1, d1 = _several_over(rng, f1)
+        y, n2, d2 = _several_over(rng, f2)
+        raw = _raw_sum(n1, d1, n2, d2)
+        if not raw[0]:
+            continue
+        for got in (x + y, y + x):
+            _assert_lowest(got, *raw)
+        neg = {k: -c for k, c in n2.items()}
+        _assert_lowest(x - y, *_raw_sum(n1, d1, neg, d2))
+        _assert_lowest(-y + x, *_raw_sum(n1, d1, neg, d2))
+
+
+def test_sum_over_the_lcm_cancels_a_factor_of_the_gcd():
+    # 1/(1+t) - 1/((1+t)(2+t)) = (1+t)/((1+t)(2+t)) = 1/(2+t)
+    t, one, two = R.t_power(1), R.one, R.monomial(2)
+    x, y = one / (one + t), one / ((one + t) * (two + t))
+    for got in (x - y, -y + x):
+        assert_canonical(got)
+        assert got.num == {(0, 0): 1} and got.den == {0: 2, 1: 1}
+        _assert_lowest(got, {(0, 0): 1, (1, 0): 1}, {0: 2, 1: 3, 2: 1})
+
+
+def test_sums_over_polynomial_dens_cancel_to_zero():
+    t, one = R.t_power(1), R.one
+    x, y = one / (one + t), one / (one - t)
+    both = R.monomial(2) / ((one + t) * (one - t))
+    rng = random.Random(101)
+    for _ in range(10):
+        z, _, _ = _several_over(rng, [rng.choice(FACTORS), rng.choice(FACTORS)])
+        for got in (x + y - both, y + x - both, (x + z) + (y - z) - both,
+                    (z + x) - (z - y) - both, z - z, -z + z):
+            assert_canonical(got)
+            assert got.num == {} and got.den == {0: 1} and got == R.zero
+            assert sympy.cancel(as_sympy(got)) == 0
+
+
+def test_one_term_products_over_cyclotomic_dens_skip_the_gcd(monkeypatch):
+    rng = random.Random(103)
+    phis = list(CYCLOTOMIC.values())
+    values = [_one_term_over(rng, [rng.choice(phis) for _ in range(rng.randint(1, 3))])[0]
+              for _ in range(12)]
+    images = [K(as_sympy(x)) for x in values]
+
+    def no_gcd(*args):
+        raise AssertionError("a one-term product looked for a polynomial gcd")
+
+    monkeypatch.setattr(scalars, "_cancel", no_gcd)
+    for x, xs in zip(values, images):
+        for y, ys in zip(values, images):
+            got = x * y
+            assert_canonical(got)
+            assert_same(got, xs * ys)
+        assert_same(x * x * x, xs ** 3)
 
 
 # --- one-term values: the integer path of +, - , * and / ---------------------

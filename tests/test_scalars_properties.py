@@ -3,9 +3,14 @@
 Scalars are drawn as a few rational Laurent monomials in t and a over a
 product of small t-polynomials (cyclotomic factors and the content
 polynomial of solve_recurrence) and a rational constant.  The same draw
-builds a symbolic Scalar and a numeric LaurentScalar at t = 3/2.
+builds a symbolic Scalar and a numeric LaurentScalar at t = 3/2.  A den of
+two FACTORS draws sums over dens that share a factor as well as coprime
+ones.  Every result of +, * and / must also be in the canonical form, read
+off its num and den without sympy: int coefficients, min(den) == 0, a den
+with a positive leading coefficient and joint integer content 1.
 """
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -29,6 +34,18 @@ dens = st.tuples(st.lists(st.sampled_from(FACTORS), max_size=2),
                  st.builds(Fraction, st.integers(1, 4), st.integers(1, 4)))
 
 
+def canonical(x):
+    """x, once its num and den are checked to be in the canonical form."""
+    num, den = x.num, x.den
+    assert all(type(c) is int for c in (*num.values(), *den.values())), (num, den)
+    if not num:
+        assert den == {0: 1}
+        return x
+    assert min(den) == 0 and den[max(den)] > 0, den
+    assert gcd(*num.values(), *den.values()) == 1, (num, den)
+    return x
+
+
 def build(ring, draw_terms, draw_den, a_exp=None):
     num = ring.zero
     for c, te, ae in draw_terms:
@@ -49,8 +66,8 @@ def build(ring, draw_terms, draw_den, a_exp=None):
 @given(terms, dens, terms, dens)
 def test_commutative(ring, nx, dx, ny, dy):
     x, y = build(ring, nx, dx), build(ring, ny, dy)
-    assert x + y == y + x
-    assert x * y == y * x
+    assert canonical(x + y) == canonical(y + x)
+    assert canonical(x * y) == canonical(y * x)
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.mode)
@@ -58,9 +75,9 @@ def test_commutative(ring, nx, dx, ny, dy):
 @given(terms, dens, terms, dens, terms, dens)
 def test_associative_and_distributive(ring, nx, dx, ny, dy, nz, dz):
     x, y, z = build(ring, nx, dx), build(ring, ny, dy), build(ring, nz, dz)
-    assert (x + y) + z == x + (y + z)
-    assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
+    assert canonical(canonical(x + y) + z) == canonical(x + canonical(y + z))
+    assert canonical(canonical(x * y) * z) == canonical(x * canonical(y * z))
+    assert canonical(x * (y + z)) == canonical(canonical(x * y) + canonical(x * z))
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.mode)
@@ -68,7 +85,7 @@ def test_associative_and_distributive(ring, nx, dx, ny, dy, nz, dz):
 @given(terms, dens)
 def test_difference_with_itself_is_zero(ring, nx, dx):
     x = build(ring, nx, dx)
-    assert (x - x).is_zero()
+    assert canonical(x - x).is_zero()
     assert x - x == ring.zero
 
 
@@ -79,4 +96,4 @@ def test_division_undoes_multiplication(ring, nx, dx, ny, dy, a_exp):
     x = build(ring, nx, dx)
     y = build(ring, ny, dy, a_exp=a_exp)
     hypothesis.assume(not y.is_zero())
-    assert (x / y) * y == x
+    assert canonical(canonical(x / y) * y) == x
