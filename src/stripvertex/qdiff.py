@@ -39,6 +39,8 @@ class QSeries(TruncatedSeries):
     _key_row = staticmethod(lambda d: [d])
 
     def __init__(self, terms: dict, cap: int, ring):
+        if any(d < 0 for d in terms):
+            raise ValueError("x exponents must be nonnegative")
         super().__init__("p", terms, cap, ring)
 
     @staticmethod

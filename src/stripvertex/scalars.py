@@ -1,35 +1,41 @@
 """Exact coefficient arithmetic in t = q^(1/2) and the loop variable a.
 
-A symbolic scalar is a reduced fraction num/den held with integer
+A symbolic scalar is a reduced fraction num / den with integer
 coefficients only: num maps (t exponent, a exponent) to an int, a Laurent
-polynomial in t and a, and den maps a t exponent to an int, a polynomial
-in t alone.  Reduction keeps a unique canonical form, so equality is plain
-dict comparison:
+polynomial in t and a, and den, a polynomial in t alone, is held factored
+as d * prod Phi_n(t)^e_n * R(t).  d is a positive integer; fac holds the
+rest as ((n, e_n) pairs by increasing n, R), or is None when den is d
+alone.  R, the residual, is a primitive polynomial with a positive lead,
+a nonzero constant term and no cyclotomic factor, held as a tuple of its
+coefficients (lowest degree first), or None for R = 1.  The quantum
+integers and hook products of the package make almost every den a product
+of Phi_n: R is entered only by dividing by a polynomial that is not, or
+by building a value by hand with one.  Reduction keeps a unique canonical
+form, so equality is plain comparison of num, d and fac:
 
-- min(den) == 0 (powers of t live in num);
-- the leading coefficient of den is positive;
+- powers of t live in num (Phi_n(0) and R(0) are nonzero);
 - den shares no polynomial factor with the a-slices of num (the
   coefficients of the powers of a, taken jointly);
-- num and den together have integer content 1.
+- d is prime to the integer content of num.
 
-Rational content lives in den: 1/2 is num {(0, 0): 1} over den {0: 2}.
-The common factor is found by the heuristic gcd (Char, Geddes & Gonnet
-1989): the integer gcd of the values at one integer xi past the roots of
-den proves most pairs coprime at once; otherwise its base-xi digits give
-a candidate, which a checked division in Z[t] confirms and divides out,
-or rejects for a larger xi.  It runs only where a factor can exist: den
-nonconstant and num of more than one term (a monomial num shares none with
-den, whose constant term is nonzero).  A sum over two polynomial dens goes
-over their lcm, and +, * and / of two one-term values c * t^i * a^j / d
-(as every monomial and almost every numeric value is) skip the reduction.
-Printing divides out the content of den, so a scalar prints as rational
-coefficients over a primitive denominator.
+Expanded, den is the den of a fraction num/den with a positive lead and
+joint integer content 1, and printing shows it so: rational coefficients
+over the primitive polynomial prod Phi_n^e_n * R.  A product adds
+exponents; a sum goes over the lcm, the larger exponent of each Phi_n,
+and only a Phi_n that both operands hold to the same power can divide
+the sum's num.  Reduction divides such Phi_n out of the a-slices by
+trial, after a fold mod t^n - 1 that each Phi_n divides; only against R
+does it look for a gcd, by the heuristic gcd (Char, Geddes & Gonnet
+1989), which proves most pairs coprime at one integer xi past the roots of
+R and otherwise reads a candidate off its base-xi digits.  A one-term num
+shares no factor with any den, so +, * and / of one-term values need only
+an integer gcd, and a unit operand of * hands back the other operand.
 
 A numeric ring pins t to a rational value while a stays formal.  Its
 scalars, LaurentScalar, are this same normal form with t pinned: every t
-exponent is 0 and den is one positive integer, so the two lanes share one
-arithmetic and the higher layers run unchanged in either mode.  Scalars of
-different rings do not mix: +, -, *, / and == between them raise TypeError.
+exponent is 0 and fac is None, so the two lanes share one arithmetic and
+the higher layers run unchanged in either mode.  Scalars of different
+rings do not mix: +, -, *, / and == between them raise TypeError.
 
 The module also holds the one truncated-series core, TruncatedSeries:
 sums, products, truncation and equality for every series kind of the
@@ -44,13 +50,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, inf, isqrt, lcm
+from operator import mul
 
-# the denominator of every symbolic scalar with an integer Laurent numerator
-_DEN_ONE = {0: 1}
+# the num of the scalar 1
+_UNIT = {(0, 0): 1}
 
 
 # ---------------------------------------------------------------------------
-# dense integer polynomial helpers, lowest degree first
+# dense integer polynomials, lowest degree first
 
 def _primitive(c: list[int]) -> list[int]:
     g = 0
@@ -68,7 +75,16 @@ def _dense(p: dict[int, int], shift: int = 0) -> list[int]:
     return out
 
 
-def _horner(p: list[int], x: int) -> int:
+def _dense_mul(p, q) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
+def _horner(p, x):
     v = 0
     for c in reversed(p):
         v = v * x + c
@@ -147,20 +163,151 @@ def _cancel(den: list[int],
 
 
 # ---------------------------------------------------------------------------
-# sparse polynomials: den as {t exp: c}, num as {(t exp, a exp): c}
+# cyclotomic polynomials, each built on first use
 
-def _poly_mul(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            k = e1 + e2
-            v = out.get(k, 0) + c1 * c2
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-    return out
+# n: (Phi_n dense, the (degree, coefficient) pairs of its terms below the lead)
+_PHI: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
+# Euler's phi at each index, as far as a split has needed it
+_TOTIENT = [0, 1]
 
+
+def _phi(n: int):
+    got = _PHI.get(n)
+    if got is None:
+        p = [-1] + [0] * (n - 1) + [1]  # t^n - 1, the product of Phi_k over k | n
+        for k in range(1, n):
+            if n % k == 0:
+                p = _quotient(p, _phi(k)[0])
+        got = _PHI[n] = (p, [(i, c) for i, c in enumerate(p[:-1]) if c])
+    return got
+
+
+def _orders(m: int) -> list[int]:
+    # every n with deg Phi_n = phi(n) <= m; phi(n) >= sqrt(n) for all n but 2 and 6
+    top = max(m * m, 6)
+    if len(_TOTIENT) <= top:
+        phi = list(range(top + 1))
+        for k in range(2, top + 1):
+            if phi[k] == k:
+                for j in range(k, top + 1, k):
+                    phi[j] -= phi[j] // k
+        _TOTIENT[:] = phi
+    return [n for n in range(1, top + 1) if _TOTIENT[n] <= m]
+
+
+def _split(p: list[int]):
+    """(c, fac) with p = c * the polynomial of fac, for a dense p with p[0] != 0.
+
+    c is p's content, signed as its lead.  A binomial t^m -+ 1 is factored
+    in closed form; any other p is divided by each Phi_n of degree at most
+    its own, as often as it goes, and the rest is the residual.
+    """
+    c = gcd(*p)
+    if p[-1] < 0:
+        c = -c
+    m = len(p) - 1
+    if not m:
+        return c, None
+    if c != 1:
+        p = [x // c for x in p]
+    if p[-1] == 1 and p[0] in (1, -1) and not any(p[1:-1]):
+        # t^m - 1 is the product of Phi_k over k | m; t^m + 1 over k | 2m, k not | m
+        top = m if p[0] < 0 else 2 * m
+        return c, (tuple((k, 1) for k in range(1, top + 1)
+                         if top % k == 0 and (p[0] < 0 or m % k)), None)
+    cyc = []
+    for n in _orders(m):
+        phi, e = _phi(n)[0], 0
+        while len(phi) <= len(p):
+            q = _quotient(p, phi)
+            if q is None:
+                break
+            p, e = q, e + 1
+        if e:
+            cyc.append((n, e))
+    return c, (tuple(cyc), tuple(p) if len(p) > 1 else None)
+
+
+# fac: its polynomial expanded; filled by sums, quotients and printing
+_EXPANDED: dict = {}
+
+
+def _expand(fac) -> dict[tuple[int, int], int]:
+    """The polynomial prod Phi_n^e_n * R of fac, as a num {(t exp, 0): c}."""
+    if fac is None:
+        return _UNIT
+    p = _EXPANDED.get(fac)
+    if p is None:
+        cyc, res = fac
+        dense = list(res or (1,))
+        for n, e in cyc:
+            for _ in range(e):
+                dense = _dense_mul(dense, _phi(n)[0])
+        p = _EXPANDED[fac] = {(e, 0): c for e, c in enumerate(dense) if c}
+    return p
+
+
+def _fac_mul(f1, f2):
+    # the fac of a product: exponents add, residuals multiply
+    if f1 is None:
+        return f2
+    if f2 is None:
+        return f1
+    (c1, r1), (c2, r2) = f1, f2
+    if c1 and c2:
+        exps = dict(c1)
+        for n, e in c2:
+            exps[n] = exps.get(n, 0) + e
+        c1 = tuple(sorted(exps.items()))
+    return (c1 or c2,
+            r2 if r1 is None else r1 if r2 is None else tuple(_dense_mul(r1, r2)))
+
+
+def _lcm(f1, f2):
+    """(lcm, cof1, cof2, ns) for the facs of two dens.
+
+    cof1 = lcm / f1 and cof2 = lcm / f2 are expanded, or None when 1.  A
+    sum n1 * cof1 + n2 * cof2 over the lcm can be divided only by a Phi_n
+    that f1 and f2 hold to the same power, listed in ns (None: all of f1):
+    for any other, one term is a multiple of Phi_n and the other is not.
+    """
+    if f1 == f2:
+        return f1, None, None, None
+    if f1 is None:
+        return f2, _expand(f2), None, ()
+    if f2 is None:
+        return f1, None, _expand(f1), ()
+    (c1, r1), (c2, r2) = f1, f2
+    e1, e2 = dict(c1), dict(c2)
+    top, k1, k2, ns = [], [], [], []
+    for n in sorted(e1.keys() | e2.keys()):
+        a, b = e1.get(n, 0), e2.get(n, 0)
+        top.append((n, max(a, b)))
+        if a < b:
+            k1.append((n, b - a))
+        elif b < a:
+            k2.append((n, a - b))
+        else:
+            ns.append(n)
+    # the residuals' lcm; _reduce looks for a gcd against the residual anyway
+    q1 = q2 = None
+    if r1 != r2:
+        if r1 is None or r2 is None:
+            q1, q2 = r2, r1
+        else:
+            # with g = gcd(r1, r2), the cofactor of r1 is r2 / g and that of r2 is r1 / g
+            q2, (q1,) = _cancel(list(r1), [list(r2)]) or (r1, [r2])
+            if q1[-1] < 0:
+                q1, q2 = [-c for c in q1], [-c for c in q2]
+            q1, q2 = tuple(q1), tuple(q2)
+    res = r1 if q1 is None else r2 if r1 is None else tuple(_dense_mul(r1, q1))
+    cof1 = _expand((tuple(k1), q1)) if k1 or q1 else None
+    cof2 = _expand((tuple(k2), q2)) if k2 or q2 else None
+    return (tuple(top), res), cof1, cof2, ns
+
+
+# ---------------------------------------------------------------------------
+# sparse numerators {(t exp, a exp): c}
 
 def _num_mul(n1: dict[tuple[int, int], int],
              n2: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
@@ -188,6 +335,45 @@ def _num_add(n1, n2, m1: int = 1, m2: int = 1):
     return out
 
 
+def _slices(num) -> dict[int, tuple[int, list[int]]]:
+    # the a-slices of num: a exp -> (lowest t exp, the slice dense from there)
+    by_a: dict[int, dict[int, int]] = {}
+    for (te, ae), c in num.items():
+        by_a.setdefault(ae, {})[te] = c
+    return {ae: (min(sl), _dense(sl, min(sl))) for ae, sl in by_a.items()}
+
+
+def _joined(slices, polys):
+    # the num whose a-slices are polys, placed as slices
+    return {(e + low, ae): c for (ae, (low, _)), p in zip(slices.items(), polys)
+            for e, c in enumerate(p) if c}
+
+
+def _divides(num, n: int) -> bool:
+    """Whether Phi_n(t) divides every a-slice of num.
+
+    Each slice is folded mod t^n - 1, a multiple of Phi_n, so the remainder
+    is taken of a polynomial of degree below n.
+    """
+    phi, low = _phi(n)
+    deg = len(phi) - 1
+    rows: dict[int, list[int]] = {}
+    for (te, ae), c in num.items():
+        row = rows.get(ae)
+        if row is None:
+            row = rows[ae] = [0] * n
+        row[te % n] += c
+    for r in rows.values():
+        for k in range(n - 1, deg - 1, -1):
+            c = r[k]
+            if c:
+                for i, g in low:
+                    r[k - deg + i] -= c * g
+        if any(r[:deg]):
+            return False
+    return True
+
+
 def _exact(coeffs, exps) -> None:
     for c in coeffs:
         if not isinstance(c, (int, Fraction)):
@@ -211,41 +397,50 @@ def _clean_input(num: dict, den: dict) -> tuple[dict, dict]:
             {e - s: int(c * m) for e, c in den.items()})
 
 
-def _reduce(num: dict[tuple[int, int], int],
-            den: dict[int, int]):
-    """Bring num/den to the canonical form described in the module docstring.
+def _reduce(num: dict[tuple[int, int], int], d: int, fac, ns=None):
+    """Bring num / (d * fac) to the canonical form of the module docstring.
 
-    The input is what the arithmetic produces: nonzero int coefficients and
-    min(den) == 0 (a Scalar built by hand passes _clean_input first).  The
-    gcd search (_cancel) runs only for a nonconstant den and a num of more
-    than one term, and divides den and the a-slices of num by their joint
-    gcd; a one-term den (every numeric value) or num shares at most an
-    integer with the other, which the joint integer content step removes.
-    Scalar's +, * and / of two one-term operands write that form directly.
+    The input is what the arithmetic produces: nonzero int coefficients, a
+    positive d and a fac in canonical form.  ns lists the Phi_n of fac that
+    can divide num (all of them by default); each is divided out of the
+    a-slices of num, jointly, as often as it goes.  The heuristic gcd
+    (_cancel) then runs against the residual R only.  A one-term num
+    shares no polynomial factor with den, whose constant term is nonzero,
+    and skips both; the integer content of num and d ends every reduction.
     """
     if not num:
-        return {}, _DEN_ONE
-    if len(den) > 1 < len(num):
-        # cancel any common polynomial factor (powers of t live in num)
-        slices: dict[int, dict[int, int]] = {}
-        for (te, ae), c in num.items():
-            slices.setdefault(ae, {})[te] = c
-        shifts = {ae: min(sl) for ae, sl in slices.items()}
-        cancelled = _cancel(_dense(den),
-                            [_dense(sl, shifts[ae]) for ae, sl in slices.items()])
-        if cancelled:
-            d, quotients = cancelled
-            den = {e: c for e, c in enumerate(d) if c}
-            num = {(e + shift, ae): c for (ae, shift), p in zip(shifts.items(), quotients)
-                   for e, c in enumerate(p) if c}
-    # joint integer content, signed so that den leads positive
-    cont = gcd(*den.values(), *num.values())
-    if den[max(den)] < 0:
-        cont = -cont
-    if cont != 1:
-        num = {k: c // cont for k, c in num.items()}
-        den = {e: c // cont for e, c in den.items()}
-    return num, den
+        return {}, 1, None
+    if fac is not None and len(num) > 1:
+        cyc, res = fac
+        exps = dict(cyc)
+        cut = False
+        for n in exps if ns is None else ns:
+            e = exps[n]
+            while e and _divides(num, n):
+                slices = _slices(num)
+                phi = _PHI[n][0]
+                num = _joined(slices, [_quotient(p, phi) for _, p in slices.values()])
+                exps[n] = e = e - 1
+                cut = True
+        if res is not None and len(num) > 1:
+            slices = _slices(num)
+            cancelled = _cancel(list(res), [p for _, p in slices.values()])
+            if cancelled:
+                q, quotients = cancelled
+                if q[-1] < 0:
+                    q, quotients = [-c for c in q], [[-c for c in p] for p in quotients]
+                res = tuple(q) if len(q) > 1 else None
+                num = _joined(slices, quotients)
+                cut = True
+        if cut:
+            cyc = tuple((n, e) for n, e in exps.items() if e)
+            fac = (cyc, res) if cyc or res else None
+    if d != 1:
+        g = gcd(d, *num.values())
+        if g != 1:
+            num = {k: c // g for k, c in num.items()}
+            d //= g
+    return num, d, fac
 
 
 def _ring_error(x, y) -> TypeError:
@@ -255,35 +450,45 @@ def _ring_error(x, y) -> TypeError:
 
 
 def _operand(x, y):
-    # num and den of y, once y is known to be a scalar of x's ring
+    # num, d and fac of y, once y is known to be a scalar of x's ring
     try:
-        ring, num, den = y.ring, y.num, y.den
+        ring, num, d, fac = y.ring, y.num, y.d, y.fac
     except AttributeError:
         raise _ring_error(x, y) from None
     if ring is not x.ring and ring != x.ring:
         raise _ring_error(x, y)
-    return num, den
+    return num, d, fac
 
 
 class Scalar:
     """Canonical rational function in t (denominator a-free, numerator Laurent in t, a)."""
 
-    __slots__ = ("num", "den", "ring")
+    __slots__ = ("num", "d", "fac", "ring")
 
     def __init__(self, num, den, ring):
-        self.num, self.den = _reduce(*_clean_input(num, den))
+        num, den = _clean_input(num, den)
+        c, fac = _split(_dense(den))
+        if c < 0:
+            num, c = {k: -v for k, v in num.items()}, -c
+        self.num, self.d, self.fac = _reduce(num, c, fac)
         self.ring = ring
 
     @classmethod
-    def _of(cls, num, den, ring) -> "Scalar":
-        # a value whose num and den are already canonical
+    def _of(cls, num, d, fac, ring) -> "Scalar":
+        # a value whose num, d and fac are already canonical
         out = object.__new__(cls)
-        out.num, out.den, out.ring = num, den, ring
+        out.num, out.d, out.fac, out.ring = num, d, fac, ring
         return out
 
-    def _new(self, num, den) -> "Scalar":
+    def _new(self, num, d, fac, ns=None) -> "Scalar":
         # a result of the arithmetic, reduced, in self's class and ring
-        return self._of(*_reduce(num, den), self.ring)
+        return self._of(*_reduce(num, d, fac, ns), self.ring)
+
+    @property
+    def den(self) -> dict[int, int]:
+        """The denominator expanded, {t exp: c}."""
+        d = self.d
+        return {te: d * c for (te, _), c in _expand(self.fac).items()}
 
     # -- predicates ---------------------------------------------------------
     def is_zero(self) -> bool:
@@ -294,68 +499,92 @@ class Scalar:
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other: "Scalar") -> "Scalar":
-        onum, oden = _operand(self, other)
-        num, den = self.num, self.den
+        onum, od, ofac = _operand(self, other)
+        num, d, fac = self.num, self.d, self.fac
         if not num or not onum:
             # scalars are never mutated, so a zero operand can hand back the other
             return other if onum else self
-        if len(num) == 1 == len(onum) and len(den) == 1 == len(oden):
-            # one term each over integers: one gcd gives the canonical form
-            (k1, c1), = num.items()
-            (k2, c2), = onum.items()
-            d1, d2 = den[0], oden[0]
-            if k1 == k2:
-                c, d = c1 * d2 + c2 * d1, d1 * d2
-                if not c:
-                    return self._of({}, _DEN_ONE, self.ring)
-                g = gcd(c, d)
-                return self._of({k1: c // g}, {0: d // g}, self.ring)
-            # c1 is prime to d1 and c2 to d2, so the content is gcd(d1, d2)
-            g = gcd(d1, d2)
-            return self._of({k1: c1 * (d2 // g), k2: c2 * (d1 // g)}, {0: d1 // g * d2},
-                            self.ring)
-        if den == oden:
-            return self._new(_num_add(self.num, onum), den)
-        if len(den) == 1 == len(oden):
-            # integer denominators (every numeric value): add over their lcm
-            g = gcd(den[0], oden[0])
-            return self._new(_num_add(self.num, onum, oden[0] // g, den[0] // g),
-                             {0: den[0] // g * oden[0]})
-        m1, m2 = oden, den
-        if len(den) > 1 < len(oden):
-            # two polynomial dens: add over their lcm den * (oden / g), g their gcd
-            cancelled = _cancel(_dense(den), [_dense(oden)])
-            if cancelled:
-                m2, m1 = ({e: c for e, c in enumerate(p) if c}
-                          for p in (cancelled[0], *cancelled[1]))
-        num = _num_add(_num_mul(num, {(e, 0): c for e, c in m1.items()}),
-                       _num_mul(onum, {(e, 0): c for e, c in m2.items()}))
-        return self._new(num, _poly_mul(den, m1))
+        if fac is None is ofac:
+            if len(num) == 1 == len(onum):
+                # one term each over integers: one gcd gives the canonical form
+                (k1, c1), = num.items()
+                (k2, c2), = onum.items()
+                if k1 == k2:
+                    c, d = c1 * od + c2 * d, d * od
+                    if not c:
+                        return self._of({}, 1, None, self.ring)
+                    g = gcd(c, d)
+                    return self._of({k1: c // g}, d // g, None, self.ring)
+                # c1 is prime to d and c2 to od, so the content is gcd(d, od)
+                g = gcd(d, od)
+                return self._of({k1: c1 * (od // g), k2: c2 * (d // g)}, d // g * od,
+                                None, self.ring)
+            if d == od:
+                return self._new(_num_add(num, onum), d, None)
+        else:
+            # polynomial dens: add over their lcm
+            fac, cof1, cof2, ns = _lcm(fac, ofac)
+            if cof1:
+                num = _num_mul(num, cof1)
+            if cof2:
+                onum = _num_mul(onum, cof2)
+            g = gcd(d, od)
+            return self._new(_num_add(num, onum, od // g, d // g), d // g * od, fac, ns)
+        # integer dens (every numeric value): add over their lcm
+        g = gcd(d, od)
+        return self._new(_num_add(num, onum, od // g, d // g), d // g * od, None)
 
     def __neg__(self) -> "Scalar":
-        return self._of({k: -c for k, c in self.num.items()}, self.den, self.ring)
+        return self._of({k: -c for k, c in self.num.items()}, self.d, self.fac, self.ring)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        onum, oden = _operand(self, other)
-        if len(self.num) == 1 == len(onum) and len(self.den) == 1 == len(oden):
-            ((t1, a1), c1), = self.num.items()
+        onum, od, ofac = _operand(self, other)
+        num = self.num
+        if self.fac is None is ofac and len(num) == 1 == len(onum):
+            ((t1, a1), c1), = num.items()
             ((t2, a2), c2), = onum.items()
-            c, d = c1 * c2, self.den[0] * oden[0]
+            c, d = c1 * c2, self.d * od
             g = gcd(c, d)
-            return self._of({(t1 + t2, a1 + a2): c // g}, {0: d // g}, self.ring)
-        return self._new(_num_mul(self.num, onum), _poly_mul(self.den, oden))
+            return self._of({(t1 + t2, a1 + a2): c // g}, d // g, None, self.ring)
+        return self._times(other)
+
+    def _times(self, other: "Scalar") -> "Scalar":
+        # self * other off the one-term integer path of __mul__
+        num, d, fac = self.num, self.d, self.fac
+        onum, od, ofac = other.num, other.d, other.fac
+        if od == 1 and ofac is None and onum == _UNIT:
+            return self
+        if d == 1 and fac is None and num == _UNIT:
+            return other
+        prod = _fac_mul(fac, ofac)
+        if len(num) == 1 == len(onum):
+            # one term over factored dens: only an integer gcd
+            ((t1, a1), c1), = num.items()
+            ((t2, a2), c2), = onum.items()
+            c, d = c1 * c2, d * od
+            g = gcd(c, d)
+            return self._of({(t1 + t2, a1 + a2): c // g}, d // g, prod, self.ring)
+        # a factor of one operand's den can divide only the other's num
+        if len(num) == 1:
+            ns = [n for n, _ in fac[0]] if fac else ()
+        elif len(onum) == 1:
+            ns = [n for n, _ in ofac[0]] if ofac else ()
+        else:
+            ns = None
+        return self._new(_num_mul(num, onum), d * od, prod, ns)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
-        onum, oden = _operand(self, other)
-        if len(self.num) == 1 == len(onum) and len(self.den) == 1 == len(oden):
-            ((t1, a1), c1), = self.num.items()
+        onum, od, ofac = _operand(self, other)
+        num = self.num
+        if self.fac is None is ofac and len(num) == 1 == len(onum):
+            ((t1, a1), c1), = num.items()
             ((t2, a2), c2), = onum.items()
-            c, d = c1 * oden[0], self.den[0] * c2
+            c, d = c1 * od, self.d * c2
             g = gcd(c, d) if d > 0 else -gcd(c, d)  # the divisor's sign moves into num
-            return self._of({(t1 - t2, a1 - a2): c // g}, {0: d // g}, self.ring)
+            return self._of({(t1 - t2, a1 - a2): c // g}, d // g, None, self.ring)
         if not onum:
             raise ZeroDivisionError("division by zero scalar")
         aexps = {ae for (_, ae) in onum}
@@ -363,9 +592,13 @@ class Scalar:
             raise ValueError("divisor must be a-free up to a monomial in a")
         ae = aexps.pop()
         m = min(te for te, _ in onum)
-        lp = {te - m: c for (te, _), c in onum.items()}
-        d2 = {(e - m, -ae): c for e, c in oden.items()}
-        return self._new(_num_mul(self.num, d2), _poly_mul(self.den, lp))
+        # other is t^m a^ae c P / (od Q), P and Q split; its inverse is canonical
+        # once the sign of c moves into the num od t^-m a^-ae Q
+        c, pfac = _split(_dense({te: v for (te, _), v in onum.items()}, m))
+        s = od if c > 0 else -od
+        inverse = self._of({(te - m, -ae): s * v for (te, _), v in _expand(ofac).items()},
+                           abs(c), pfac, self.ring)
+        return self._times(inverse)
 
     def __pow__(self, k: int) -> "Scalar":
         if k < 0:
@@ -381,11 +614,25 @@ class Scalar:
 
     # -- substitutions ------------------------------------------------------
     def subs_q_inverse(self) -> "Scalar":
-        """Substitute t by 1/t (equivalently q by 1/q)."""
-        d = max(self.den)
-        num = {(d - te, ae): c for (te, ae), c in self.num.items()}
-        den = {d - e: c for e, c in self.den.items()}
-        return self._new(num, den)
+        """Substitute t by 1/t (equivalently q by 1/q).
+
+        t^phi(n) Phi_n(1/t) is Phi_n(t) for n > 1 and -Phi_1(t) for n = 1, and
+        R reverses, so the value stays canonical with den's degree moved to num.
+        """
+        fac, sign, deg = self.fac, 1, 0
+        if fac is not None:
+            cyc, res = fac
+            deg = sum(e * (len(_phi(n)[0]) - 1) for n, e in cyc)
+            if cyc and cyc[0][0] == 1 and cyc[0][1] & 1:
+                sign = -1
+            if res is not None:
+                deg += len(res) - 1
+                res = res[::-1]
+                if res[-1] < 0:
+                    sign, res = -sign, tuple(-c for c in res)
+                fac = (cyc, res)
+        num = {(deg - te, ae): sign * c for (te, ae), c in self.num.items()}
+        return self._of(num, self.d, fac, self.ring)
 
     def subs_a_one(self) -> "Scalar":
         """Set a = 1."""
@@ -397,24 +644,51 @@ class Scalar:
                 num[k] = v
             else:
                 num.pop(k, None)
-        return self._new(num, self.den)
+        return self._new(num, self.d, self.fac)
 
     def adams(self, k: int) -> "Scalar":
-        """The degree-k Adams image: t -> t^k, a -> a^k."""
+        """The degree-k Adams image: t -> t^k, a -> a^k.
+
+        For a prime p, Phi_n(t^p) is Phi_np(t) when p divides n and
+        Phi_np(t) Phi_n(t) when not; R(t^k) keeps no cyclotomic factor.
+        """
         if k < 1:
             raise ValueError("adams degree must be positive")
         if k == 1:
             return self
         num = {(te * k, ae * k): c for (te, ae), c in self.num.items()}
-        den = {e * k: c for e, c in self.den.items()}
-        return self._of(num, den, self.ring)
+        fac = self.fac
+        if fac is not None:
+            cyc, res = fac
+            exps, rest, p = dict(cyc), k, 2
+            while rest > 1:
+                while rest % p == 0:
+                    stretched: dict[int, int] = {}
+                    for n, e in exps.items():
+                        stretched[n * p] = stretched.get(n * p, 0) + e
+                        if n % p:
+                            stretched[n] = stretched.get(n, 0) + e
+                    exps, rest = stretched, rest // p
+                p += 1
+            if res is not None:
+                stretched_res = [0] * (k * len(res) - k + 1)
+                stretched_res[::k] = res
+                res = tuple(stretched_res)
+            fac = (tuple(sorted(exps.items())), res)
+        return self._of(num, self.d, fac, self.ring)
 
     def eval_q(self, t_value: Fraction) -> "LaurentScalar":
         """Evaluate at a rational value of t = q^(1/2); a stays formal."""
         t_value = Fraction(t_value)
         if t_value == 0:
             raise ZeroDivisionError("t must be a nonzero rational")
-        dv = sum(c * t_value ** e for e, c in self.den.items())
+        dv = Fraction(self.d)
+        if self.fac is not None:
+            cyc, res = self.fac
+            for n, e in cyc:
+                dv *= _horner(_phi(n)[0], t_value) ** e
+            if res is not None:
+                dv *= _horner(res, t_value)
         if dv == 0:
             raise ZeroDivisionError("denominator vanishes at this value of t")
         out: dict[tuple[int, int], Fraction] = {}
@@ -426,23 +700,21 @@ class Scalar:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Scalar):
             return NotImplemented
-        onum, oden = _operand(self, other)
-        return self.num == onum and self.den == oden
+        onum, od, ofac = _operand(self, other)
+        return self.num == onum and self.d == od and self.fac == ofac
 
     def __hash__(self):
-        return hash((tuple(sorted(self.num.items())), tuple(sorted(self.den.items()))))
+        return hash((tuple(sorted(self.num.items())), self.d, self.fac))
 
     def __str__(self) -> str:
-        # print rational coefficients over the primitive part of den
-        cont = gcd(*self.den.values())
-        num, den = self.num, self.den
-        if cont != 1:
-            num = {k: Fraction(c, cont) for k, c in num.items()}
-            den = {e: c // cont for e, c in den.items()}
+        # print rational coefficients over the primitive polynomial of fac
+        num, d = self.num, self.d
+        if d != 1:
+            num = {k: Fraction(c, d) for k, c in num.items()}
         ns = _num_str(num)
-        if den == _DEN_ONE:
+        if self.fac is None:
             return ns
-        return f"({ns})/({_den_str(den)})"
+        return f"({ns})/({_num_str(_expand(self.fac))})"
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"
@@ -451,8 +723,8 @@ class Scalar:
 class LaurentScalar(Scalar):
     """A scalar of a numeric ring: the normal form of Scalar with t pinned.
 
-    Every t exponent is 0 and den is one positive integer, so a value is a
-    Laurent polynomial in a with rational coefficients.  The arithmetic is
+    Every t exponent is 0 and fac is None, den the positive integer d, so a
+    value is a Laurent polynomial in a with rational coefficients.  The arithmetic is
     Scalar's, bound again in this class's own dict: wrapping a Scalar method
     by name, as benchmark/tracer.py does, then leaves this lane's unwrapped,
     and each lane is counted once.
@@ -501,10 +773,6 @@ def _num_str(num: dict[tuple[int, int], Fraction | int]) -> str:
     return out
 
 
-def _den_str(den: dict[int, int]) -> str:
-    return _num_str({(e, 0): c for e, c in den.items()})
-
-
 class SymbolicQ:
     """Factory ring for symbolic scalars.  Holds the memo caches."""
 
@@ -513,7 +781,7 @@ class SymbolicQ:
 
     def __init__(self):
         self.memo: dict = {}
-        self.zero = self._scalar._of({}, _DEN_ONE, self)
+        self.zero = self._scalar._of({}, 1, None, self)
         self.one = self.monomial(1)
 
     def from_fraction(self, c) -> Scalar:
@@ -526,7 +794,7 @@ class SymbolicQ:
         if not c:
             return self.zero
         # a rational's numerator and denominator are coprime, denominator > 0
-        return self._scalar._of({(t_exp, a_exp): c.numerator}, {0: c.denominator}, self)
+        return self._scalar._of({(t_exp, a_exp): c.numerator}, c.denominator, None, self)
 
     def t_power(self, k: int) -> Scalar:
         return self.monomial(1, k)
@@ -538,7 +806,7 @@ class SymbolicQ:
         """The balanced quantum integer {n} = t^n - t^(-n)."""
         if n == 0:
             return self.zero
-        return Scalar._of({(n, 0): 1, (-n, 0): -1}, _DEN_ONE, self)
+        return Scalar._of({(n, 0): 1, (-n, 0): -1}, 1, None, self)
 
     def __repr__(self):
         return "SymbolicQ()"
@@ -621,9 +889,10 @@ class TruncatedSeries:
     Products are taken in the "p" basis and returned in the basis of the
     left factor.  Both operands of +, * and == must share one ring.
 
-    NovikovSeries has scalar coefficients; every other kind has Novikov
-    series coefficients, and the basis change, scale_scalar, map_coeffs
-    and the exponential act on those.
+    NovikovSeries has scalar coefficients and the one basis "p"; every
+    other kind has Novikov series coefficients, and the basis change,
+    scale_scalar, map_coeffs and the exponential act on those.  The
+    exponential needs a finite cap.
     """
 
     __slots__ = ("basis", "terms", "cap", "ring")
@@ -791,22 +1060,28 @@ class TruncatedSeries:
         """
         log = self.convert("p")
         ring, cap, size_of, key_mul = log.ring, log.cap, log._size, log._key_mul
+        try:
+            sizes = range(1, cap + 1)
+        except TypeError:  # cap = math.inf
+            raise ValueError("an exponential needs a finite cap") from None
+        # a coefficient times a scalar: Novikov series coefficients are scalars
+        scale = mul if isinstance(log, NovikovSeries) else NovikovSeries.scale
         weighted: dict[int, list] = {}
         for key, c in log.terms.items():
             k = size_of(key)
             if k == 0:
                 raise NonNilpotentArgument("exponential needs a nilpotent argument")
-            weighted.setdefault(k, []).append((key, c.scale(ring.from_fraction(k))))
+            weighted.setdefault(k, []).append((key, scale(c, ring.from_fraction(k))))
         out = log.one(ring, cap)
         parts = [dict(out.terms)]
-        for n in range(1, cap + 1):
+        for n in sizes:
             acc = log._new("p", {}, cap, ring)
             for k in range(1, n + 1):
                 for kl, cl in weighted.get(k, ()):
                     for kz, cz in parts[n - k].items():
                         acc._put(key_mul(kl, kz), cl * cz, cap - n)
             inv_n = ring.from_fraction(Fraction(1, n))
-            parts.append({key: c.scale(inv_n) for key, c in acc.terms.items()})
+            parts.append({key: scale(c, inv_n) for key, c in acc.terms.items()})
             out.terms.update(parts[n])
         return out
 
@@ -928,6 +1203,14 @@ class NovikovSeries(TruncatedSeries):
     def map_scalars(self, fn) -> "NovikovSeries":
         """Apply a scalar-to-scalar map to every coefficient."""
         return self._map(fn)
+
+    # the coefficients are scalars themselves
+    scale_scalar, map_coeffs = TruncatedSeries.scale, map_scalars
+
+    def convert(self, basis: str) -> "NovikovSeries":
+        if basis != "p":
+            raise ValueError(f"a NovikovSeries has the one basis 'p', not {basis!r}")
+        return self
 
     def __str__(self) -> str:
         parts = []

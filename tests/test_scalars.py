@@ -9,6 +9,7 @@ import pytest
 from stripvertex.qdiff import QSeries
 from stripvertex.scalars import (
     SYMBOLIC,
+    NonNilpotentArgument,
     NovikovSeries,
     NumericQ,
     Scalar,
@@ -318,3 +319,53 @@ def test_series_adams():
     expect = NovikovSeries.constant(R.quantum_int(1).adams(2), None) + NovikovSeries.monomial(
         {"Q1": 2}, t(2), None)
     assert got == expect
+
+
+# --- Novikov series: the series core where the coefficients are scalars ------
+
+@pytest.mark.parametrize("ring", [R, NumericQ(Fraction(3, 2))], ids=["symbolic", "numeric"])
+def test_novikov_exp_is_the_taylor_sum(ring):
+    x = (NovikovSeries.monomial({"Q1": 1}, ring.monomial(3, 1), 3)
+         + NovikovSeries.monomial({"Q2": 1}, ring.one, 3))
+    taylor = power = NovikovSeries.one(ring, 3)
+    for k in range(1, 4):
+        power = (power * x).scale(ring.from_fraction(Fraction(1, k)))
+        taylor = taylor + power
+    assert x.exp() == taylor
+    assert x.exp() * (-x).exp() == NovikovSeries.one(ring, 3)
+    with pytest.raises(NonNilpotentArgument):
+        (x + NovikovSeries.one(ring, 3)).exp()
+
+
+def test_novikov_exp_needs_a_finite_cap():
+    with pytest.raises(ValueError, match="finite cap"):
+        Q("Q1").exp()
+    assert Q("Q1", 1).exp() == NovikovSeries.one(R, 1) + Q("Q1", 1)
+
+
+def test_novikov_scale_scalar_and_map_coeffs_act_on_the_scalars():
+    x = NovikovSeries({(("Q1", 1),): t(1), (): frac(1, 2)}, R, 2)
+    s = R.quantum_int(2)
+    assert x.scale_scalar(s) == x.scale(s)
+    assert x.scale_scalar(s).coefficient((("Q1", 1),)) == t(1) * s
+    flipped = x.map_coeffs(Scalar.subs_q_inverse)
+    assert flipped == x.map_scalars(Scalar.subs_q_inverse)
+    assert flipped.coefficient((("Q1", 1),)) == t(-1)
+
+
+def test_novikov_series_has_only_the_power_sum_basis():
+    for x in (Q("Q1", 2), NovikovSeries.zero(R, 2)):
+        assert x.convert("p") is x
+        for basis in ("schur", "monomial"):
+            with pytest.raises(ValueError, match="NovikovSeries"):
+                x.convert(basis)
+
+
+def test_qseries_refuses_a_negative_exponent():
+    one = NovikovSeries.constant(R.one)
+    with pytest.raises(ValueError, match="nonnegative"):
+        QSeries({-1: one}, 3, R)
+    with pytest.raises(ValueError, match="nonnegative"):
+        QSeries.variable(R, 3, power=-2)
+    assert QSeries({0: one, 2: one}, 3, R) == QSeries.from_list(
+        [one, NovikovSeries.constant(R.zero), one], 3, R)

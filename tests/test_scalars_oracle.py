@@ -13,11 +13,16 @@ Four reductions are built by hand as Scalar(num, den) and must give the
 lowest terms of sympy.cancel exactly: two from criterion 6 whose first
 evaluation point gives the heuristic gcd a false candidate, a gcd taken
 jointly over the a-slices, and a repeated factor under integer content.
-The two places where the arithmetic decides whether to look for a
-polynomial gcd are checked against sympy.cancel in the same way: a value
-with a one-term numerator, whose products never search (a monkeypatched
-_cancel shows it), and a sum over two polynomial denominators, which goes
-over their lcm, coprime or sharing a factor, down to a sum that is zero.
+The places where the arithmetic decides whether to look for a polynomial
+factor are checked against sympy.cancel in the same way: a value with a
+one-term numerator, whose products never search (a monkeypatched _cancel
+and trial division show it), and a sum over two polynomial denominators,
+which goes over their lcm, coprime or sharing a factor, down to a sum that
+is zero.  The factored denominator d * prod Phi_n^e_n * R is read back
+against sympy.factor_list: binomial divisors t^m -+ 1, values that enter
+and leave the residual R (pivots of symfunc._det and the content
+polynomial), dens built by hand, and the substitutions t -> 1/t, t -> t^k
+and t -> 3/2.
 The principal specializations of symfunc are checked against the same
 field: h_k at q^(nu + rho) from its generating product, and skew Schur
 values from sympy's determinant of the Jacobi-Trudi matrix.
@@ -455,23 +460,28 @@ def test_sums_over_polynomial_dens_cancel_to_zero():
             assert sympy.cancel(as_sympy(got)) == 0
 
 
-def test_one_term_products_over_cyclotomic_dens_skip_the_gcd(monkeypatch):
+def test_one_term_numerators_run_no_trial_division_and_no_gcd(monkeypatch):
     rng = random.Random(103)
     phis = list(CYCLOTOMIC.values())
     values = [_one_term_over(rng, [rng.choice(phis) for _ in range(rng.randint(1, 3))])[0]
               for _ in range(12)]
     images = [K(as_sympy(x)) for x in values]
 
-    def no_gcd(*args):
-        raise AssertionError("a one-term product looked for a polynomial gcd")
+    def no_search(*args):
+        raise AssertionError("a one-term numerator looked for a polynomial factor")
 
-    monkeypatch.setattr(scalars, "_cancel", no_gcd)
+    monkeypatch.setattr(scalars, "_cancel", no_search)
+    monkeypatch.setattr(scalars, "_divides", no_search)
     for x, xs in zip(values, images):
         for y, ys in zip(values, images):
             got = x * y
             assert_canonical(got)
             assert_same(got, xs * ys)
         assert_same(x * x * x, xs ** 3)
+        # a sum of one monomial over one den keeps a one-term numerator
+        assert_same(x + x + x, 3 * xs)
+        assert_same(x.subs_q_inverse() * x.adams(2), substituted(xs, {T: 1 / T})
+                    * substituted(xs, {T: T ** 2, A: A ** 2}))
 
 
 # --- one-term values: the integer path of +, - , * and / ---------------------
@@ -653,3 +663,133 @@ def test_principal_spec_skew_matches_sympy_determinant():
                 with dotprodsimp(False):
                     want = K(mat.det(method="laplace")) if n else K(1)
                 assert_same(principal_spec_skew(lam, mu, nu), want)
+
+
+# --- the factored den: d * prod Phi_n^e_n * R, against sympy.factor_list ---------
+
+# pivots of symfunc._det: 1 - t^2 + t^6 (verify-strip AB 4), 1 - t^4 + t^6 (verify-two-leg 4)
+PIVOTS = ([1, 0, -1, 0, 0, 0, 1], [1, 0, 0, 0, -1, 0, 1])
+RESIDUALS = PIVOTS + (RECURRENCE_CONTENT,)
+
+
+def _cyclotomic_index(poly):
+    """n with poly == Phi_n(t), or None when poly is not cyclotomic."""
+    if not poly.is_cyclotomic:
+        return None
+    d = poly.degree()
+    return next(n for n in range(1, max(d * d, 6) + 1)
+                if sympy.totient(n) == d and sympy.Poly(sympy.cyclotomic_poly(n, T), T) == poly)
+
+
+def assert_factored(x):
+    """x's d, exponent map and residual are its den's factors by sympy.factor_list."""
+    assert_canonical(x)
+    content, factors = sympy.factor_list(sum(c * T ** e for e, c in x.den.items()), T)
+    cyc, residual = {}, sympy.Poly(1, T)
+    for f, e in factors:
+        poly = sympy.Poly(f, T)
+        n = _cyclotomic_index(poly)
+        if n is None:
+            residual *= poly ** e
+        else:
+            cyc[n] = e
+    if residual.LC() < 0:
+        content, residual = -content, -residual
+    want_res = None if residual.degree() == 0 else tuple(
+        int(c) for c in reversed(residual.all_coeffs()))
+    want = None if not cyc and want_res is None else (tuple(sorted(cyc.items())), want_res)
+    assert (x.d, x.fac) == (content, want), (str(x), x.d, x.fac)
+    return x
+
+
+def _over(num_poly, *den_polys):
+    # num_poly / prod den_polys, each dense, built by arithmetic, with its sympy image
+    x, xs = _t_poly(num_poly)
+    for p in den_polys:
+        f, fs = _t_poly(p)
+        x, xs = x / f, xs / fs
+    return x, xs
+
+
+@pytest.mark.parametrize("m", range(1, 25))
+def test_binomial_divisors_split_like_sympy(m):
+    t_m = R.t_power(m)
+    for sign in (1, -1):
+        divided = (R.one / (t_m + R.monomial(sign)),
+                   R.monomial(3, 1) / (R.monomial(-2) * t_m - R.monomial(2 * sign)))
+        by_hand = (Scalar({(0, 1): 5}, {0: sign, m: 1}, R),
+                   Scalar({(0, 0): 1}, {0: -4 * sign, m: -4}, R))
+        for got in divided + by_hand:
+            assert_factored(got)
+            assert got.fac[1] is None
+            assert_same(got, K(as_sympy(got)))
+        binomial = sympy.Poly(T ** m + sign, T)
+        assert assert_factored(R.one / (t_m + R.monomial(sign))).den == {
+            e: int(c) for (e,), c in binomial.terms()}
+
+
+def test_residual_is_entered_and_left_like_sympy():
+    phi = CYCLOTOMIC
+    cases = []
+    for r in RESIDUALS:
+        x, xs = _over([1, 2], r, phi[2])
+        y, ys = _over([0, 1, 0, -1], phi[3], r)
+        cases += [(x, xs), (y, ys), (x + y, xs + ys), (x - y, xs - ys), (x * y, xs * ys),
+                  (x / y, xs / ys), (y / x, ys / xs)]
+        # the residual cancels: out of a product, a quotient, and a sum
+        f, fs = _t_poly(r)
+        g, gs = _t_poly(phi[6])
+        cases += [(x * f, xs * fs), (y * f / g, ys * fs / gs),
+                  ((x + y) * f, (xs + ys) * fs), (x / x, K(1)), (x - x, K(0))]
+        left = (x + y) * f
+        assert left.fac is None or left.fac[1] is None
+    # two residuals: coprime ones multiply, a shared one is taken once
+    (p1, p1s), (p2, p2s), (p3, p3s) = (_over([1], r) for r in RESIDUALS)
+    cases += [(p1 * p2, p1s * p2s), (p1 + p2, p1s + p2s),
+              (p1 * p3 + p2 * p3, p1s * p3s + p2s * p3s), (p1 * p3 - p1 * p3, K(0)),
+              ((p1 + p2) / (p2 + p3), (p1s + p2s) / (p2s + p3s))]
+    both = assert_factored(p1 * p2)
+    assert both.fac[1] == tuple(int(c) for c in reversed(
+        sympy.Poly(_poly(PIVOTS[0]) * _poly(PIVOTS[1]), T).all_coeffs()))
+    for got, want in cases:
+        assert_factored(got)
+        assert_same(got, want)
+
+
+def test_hand_built_dens_split_like_sympy():
+    rng = random.Random(107)
+    names = list(CYCLOTOMIC) + ["pivot", "pivot2", "content"]
+    polys = dict(CYCLOTOMIC, pivot=PIVOTS[0], pivot2=PIVOTS[1], content=RECURRENCE_CONTENT)
+    for _ in range(30):
+        factors = [polys[rng.choice(names)] for _ in range(rng.randint(1, 4))]
+        num = {(rng.randint(-2, 2), rng.randint(-1, 1)): rng.randint(-5, 5) or 1
+               for _ in range(rng.randint(1, 4))}
+        den = _den_of(rng, factors)
+        if rng.random() < 0.5:
+            den = {e: -c for e, c in den.items()}
+        got = assert_factored(Scalar(num, den, R))
+        _assert_lowest(got, num, den)
+
+
+def test_substitutions_on_factored_dens_match_sympy():
+    # Phi_1(1/t) = -Phi_1(t) / t: 1/(t - 1) goes to -t/(t - 1)
+    got = (R.one / (R.t_power(1) - R.one)).subs_q_inverse()
+    assert got.num == {(1, 0): -1} and got.fac == (((1, 1),), None)
+    phi = CYCLOTOMIC
+    tv = sympy.Rational(TV.numerator, TV.denominator)
+    for e1, rest in ((1, []), (2, [phi[2], phi[6]]), (3, [PIVOTS[0]]),
+                     (1, [phi[12], RECURRENCE_CONTENT])):
+        x, xs = _over([2, -1, 0, 1], *([phi[1]] * e1 + rest))
+        x, xs = x * R.monomial(Fraction(1, 3), 1, 1), xs * K(T * A / 3)
+        inverse = assert_factored(x.subs_q_inverse())
+        assert_same(inverse, substituted(xs, {T: 1 / T}))
+        # t -> 1/t takes Phi_1 to -Phi_1 / t: the sign moves into num
+        assert inverse.fac == (x.fac[0], inverse.fac[1])
+        assert inverse.subs_q_inverse() == x
+        for k in (2, 3, 4, 6):
+            got = assert_factored(x.adams(k))
+            assert_same(got, substituted(xs, {T: T ** k, A: A ** k}))
+        got = x.eval_q(TV)
+        (d,) = got.den.values()
+        got_s = sum(sympy.Rational(c, d) * A ** ae for (_, ae), c in got.num.items())
+        assert K(got_s) - substituted(xs, {T: tv}) == 0, str(x)

@@ -4,7 +4,9 @@ benchmark/tracer.py wraps package functions and methods by name, listed in
 its SPAN_POINTS and LEAF_POINTS.  A rename or a merged class in the package
 would otherwise only show as an AttributeError in a traced benchmark run.
 The tracer also counts each scalar lane under its own group: numeric ops
-under scalars.laurent, symbolic ones under scalars.scalar.
+under scalars.laurent, symbolic ones under scalars.scalar.  Reductions
+must stay in the wrapped scalars._reduce, which feeds the
+scalars.reductions metric.
 """
 import importlib
 import importlib.util
@@ -68,3 +70,5 @@ def test_each_lane_counts_under_its_own_group():
     assert symbolic.get("scalars.scalar") == numeric.get("scalars.laurent") == 9
     assert symbolic.get("scalars.laurent", 0) == 0
     assert numeric.get("scalars.scalar", 0) == 0
+    assert symbolic.get("scalars.reduce", 0) >= 1
+    assert set(numeric) <= {"scalars.laurent", "scalars.reduce"}
