@@ -167,8 +167,6 @@ def _cancel(den: list[int],
 
 # n: (Phi_n dense, the (degree, coefficient) pairs of its terms below the lead)
 _PHI: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
-# Euler's phi at each index, as far as a split has needed it
-_TOTIENT = [0, 1]
 
 
 def _phi(n: int):
@@ -182,25 +180,13 @@ def _phi(n: int):
     return got
 
 
-def _orders(m: int) -> list[int]:
-    # every n with deg Phi_n = phi(n) <= m; phi(n) >= sqrt(n) for all n but 2 and 6
-    top = max(m * m, 6)
-    if len(_TOTIENT) <= top:
-        phi = list(range(top + 1))
-        for k in range(2, top + 1):
-            if phi[k] == k:
-                for j in range(k, top + 1, k):
-                    phi[j] -= phi[j] // k
-        _TOTIENT[:] = phi
-    return [n for n in range(1, top + 1) if _TOTIENT[n] <= m]
-
-
 def _split(p: list[int]):
     """(c, fac) with p = c * the polynomial of fac, for a dense p with p[0] != 0.
 
     c is p's content, signed as its lead.  A binomial t^m -+ 1 is factored
     in closed form; any other p is divided by each Phi_n of degree at most
-    its own, as often as it goes, and the rest is the residual.
+    its own whose value at 2 divides p(2), as often as it goes, and the
+    rest is the residual.
     """
     c = gcd(*p)
     if p[-1] < 0:
@@ -215,11 +201,19 @@ def _split(p: list[int]):
         top = m if p[0] < 0 else 2 * m
         return c, (tuple((k, 1) for k in range(1, top + 1)
                          if top % k == 0 and (p[0] < 0 or m % k)), None)
+    # deg Phi_n and Phi_n(2) for every n up to m^2, past which deg Phi_n = phi(n)
+    # >= sqrt(n) exceeds m (but for n = 2 and 6): t^n - 1 is the product over k | n
+    top = max(m * m, 6)
+    deg, at2 = list(range(top + 1)), [(1 << n) - 1 for n in range(top + 1)]
     cyc = []
-    for n in _orders(m):
-        phi, e = _phi(n)[0], 0
-        while len(phi) <= len(p):
-            q = _quotient(p, phi)
+    for n in range(1, top + 1):
+        for j in range(2 * n, top + 1, n):
+            deg[j] -= deg[n]
+            at2[j] //= at2[n]
+        # Phi_n divides p only if Phi_n(2) divides p(2); only a Phi_n that passes is built
+        e = 0
+        while deg[n] < len(p) and _horner(p, 2) % at2[n] == 0:
+            q = _quotient(p, _phi(n)[0])
             if q is None:
                 break
             p, e = q, e + 1
@@ -228,7 +222,8 @@ def _split(p: list[int]):
     return c, (tuple(cyc), tuple(p) if len(p) > 1 else None)
 
 
-# fac: its polynomial expanded; filled by sums, quotients and printing
+# fac: its polynomial expanded, for sums, quotients and printing; a run meets
+# tens of distinct facs and expands each of them hundreds of times
 _EXPANDED: dict = {}
 
 
@@ -543,16 +538,19 @@ class Scalar:
     def __mul__(self, other: "Scalar") -> "Scalar":
         onum, od, ofac = _operand(self, other)
         num = self.num
-        if self.fac is None is ofac and len(num) == 1 == len(onum):
+        if self.fac is not None or ofac is not None:
+            return self._times(other)
+        if len(num) == 1 == len(onum):
             ((t1, a1), c1), = num.items()
             ((t2, a2), c2), = onum.items()
             c, d = c1 * c2, self.d * od
             g = gcd(c, d)
             return self._of({(t1 + t2, a1 + a2): c // g}, d // g, None, self.ring)
-        return self._times(other)
+        # integer dens (every numeric value): only the integer content can cancel
+        return self._new(_num_mul(num, onum), self.d * od, None)
 
     def _times(self, other: "Scalar") -> "Scalar":
-        # self * other off the one-term integer path of __mul__
+        # self * other for a factored den on either side
         num, d, fac = self.num, self.d, self.fac
         onum, od, ofac = other.num, other.d, other.fac
         if od == 1 and ofac is None and onum == _UNIT:
@@ -579,12 +577,17 @@ class Scalar:
     def __truediv__(self, other: "Scalar") -> "Scalar":
         onum, od, ofac = _operand(self, other)
         num = self.num
-        if self.fac is None is ofac and len(num) == 1 == len(onum):
-            ((t1, a1), c1), = num.items()
+        if ofac is None and len(onum) == 1:
+            # c2 t^i a^j / od, as every numeric divisor is: its inverse is one term
             ((t2, a2), c2), = onum.items()
-            c, d = c1 * od, self.d * c2
-            g = gcd(c, d) if d > 0 else -gcd(c, d)  # the divisor's sign moves into num
-            return self._of({(t1 - t2, a1 - a2): c // g}, d // g, None, self.ring)
+            if self.fac is None and len(num) == 1:
+                ((t1, a1), c1), = num.items()
+                c, d = c1 * od, self.d * c2
+                g = gcd(c, d) if d > 0 else -gcd(c, d)  # the divisor's sign moves into num
+                return self._of({(t1 - t2, a1 - a2): c // g}, d // g, None, self.ring)
+            s = od if c2 > 0 else -od
+            return self._new({(t1 - t2, a1 - a2): s * c for (t1, a1), c in num.items()},
+                             self.d * abs(c2), self.fac, ())
         if not onum:
             raise ZeroDivisionError("division by zero scalar")
         aexps = {ae for (_, ae) in onum}

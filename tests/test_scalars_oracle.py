@@ -27,6 +27,7 @@ The principal specializations of symfunc are checked against the same
 field: h_k at q^(nu + rho) from its generating product, and skew Schur
 values from sympy's determinant of the Jacobi-Trudi matrix.
 """
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -562,6 +563,51 @@ def test_one_term_negative_divisor_moves_its_sign_into_num(ring, tv):
         assert got.den[0] > 0
         assert_canonical(got)
         assert_same(got, xs / ys)
+
+
+def _factored(*args):
+    raise AssertionError("took a factored-den path")
+
+
+def test_numeric_lane_takes_no_factored_den_path():
+    # numeric values never carry a factor, so their *, / and + keep to the
+    # integer paths: no split, expansion, lcm, trial division or gcd search
+    ring, tv = LANES[1]
+    rng = random.Random(89)
+    cases = []
+    for _ in range(30):
+        (x, xs), (y, ys) = _several_terms(rng, ring, tv), _several_terms(rng, ring, tv)
+        z, zs, _ = random_monomial(rng, ring, tv)
+        cases += [((x, "*", y), xs * ys), ((x, "+", y), xs + ys), ((x, "/", z), xs / zs),
+                  ((x, "*", z), xs * zs), ((x, "*", ring.one), xs)]
+    ops = {"*": operator.mul, "+": operator.add, "/": operator.truediv}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_split", "_expand", "_fac_mul", "_lcm", "_divides", "_cancel"):
+            mp.setattr(scalars, name, _factored)
+        mp.setattr(scalars.Scalar, "_times", _factored)
+        got = [ops[op](x, y) for (x, op, y), _ in cases]
+    for value, (_, want) in zip(got, cases):
+        assert type(value) is ring._scalar
+        assert_canonical(value)
+        assert_same(value, want)
+
+
+def test_one_term_divisor_splits_and_expands_nothing():
+    # c t^i a^j / d as a divisor of a factored value: its inverse is one term
+    rng = random.Random(97)
+    cases = []
+    while len(cases) < 20:
+        x, xs = random_pair(rng)
+        if x.fac is not None and len(x.num) > 1:
+            z, zs, _ = random_monomial(rng, R, T)
+            cases.append((x, z, xs / zs))
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_split", "_expand", "_divides"):
+            mp.setattr(scalars, name, _factored)
+        got = [x / z for x, z, _ in cases]
+    for value, (_, _, want) in zip(got, cases):
+        assert_factored(value)
+        assert_same(value, want)
 
 
 # --- a zero operand: the sum hands back the other operand ----------------------
