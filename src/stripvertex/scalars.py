@@ -49,7 +49,7 @@ coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf, isqrt, lcm
+from math import gcd, inf, isqrt, lcm, prod
 from operator import mul
 
 # the num of the scalar 1
@@ -201,22 +201,25 @@ def _split(p: list[int]):
         top = m if p[0] < 0 else 2 * m
         return c, (tuple((k, 1) for k in range(1, top + 1)
                          if top % k == 0 and (p[0] < 0 or m % k)), None)
-    # deg Phi_n and Phi_n(2) for every n up to m^2, past which deg Phi_n = phi(n)
-    # >= sqrt(n) exceeds m (but for n = 2 and 6): t^n - 1 is the product over k | n
+    # deg Phi_n for every n up to m^2, past which deg Phi_n = phi(n) >= sqrt(n)
+    # exceeds m (but for n = 2 and 6): t^n - 1 is the product of Phi_k over k | n.
+    # Phi_n(2) likewise, but only for an n of degree below len(p); each divisor of
+    # such an n had one too, as deg Phi_k <= deg Phi_n for k | n and len(p) only falls
     top = max(m * m, 6)
-    deg, at2 = list(range(top + 1)), [(1 << n) - 1 for n in range(top + 1)]
-    cyc = []
+    deg, at2, v2, cyc = list(range(top + 1)), {}, _horner(p, 2), []
     for n in range(1, top + 1):
         for j in range(2 * n, top + 1, n):
             deg[j] -= deg[n]
-            at2[j] //= at2[n]
+        if deg[n] >= len(p):
+            continue
+        at2[n] = ((1 << n) - 1) // prod(at2[k] for k in range(1, n) if n % k == 0)
         # Phi_n divides p only if Phi_n(2) divides p(2); only a Phi_n that passes is built
         e = 0
-        while deg[n] < len(p) and _horner(p, 2) % at2[n] == 0:
+        while deg[n] < len(p) and v2 % at2[n] == 0:
             q = _quotient(p, _phi(n)[0])
             if q is None:
                 break
-            p, e = q, e + 1
+            p, e, v2 = q, e + 1, v2 // at2[n]
         if e:
             cyc.append((n, e))
     return c, (tuple(cyc), tuple(p) if len(p) > 1 else None)
@@ -376,6 +379,13 @@ def _exact(coeffs, exps) -> None:
     for e in exps:
         if not isinstance(e, int):
             raise ValueError("exponents must be integers")
+
+
+def _rational(x, name: str) -> Fraction:
+    # an exact value of t or q: an int, a Fraction or a string such as "9/4"
+    if isinstance(x, float):
+        raise TypeError(f"{name} must be exact (an int, a Fraction or a string), not a float")
+    return Fraction(x)
 
 
 def _clean_input(num: dict, den: dict) -> tuple[dict, dict]:
@@ -619,23 +629,13 @@ class Scalar:
     def subs_q_inverse(self) -> "Scalar":
         """Substitute t by 1/t (equivalently q by 1/q).
 
-        t^phi(n) Phi_n(1/t) is Phi_n(t) for n > 1 and -Phi_1(t) for n = 1, and
-        R reverses, so the value stays canonical with den's degree moved to num.
+        With deg the degree of den, the value is t^deg num(1/t) over den
+        reversed, brought to canonical form by the checked constructor.
         """
-        fac, sign, deg = self.fac, 1, 0
-        if fac is not None:
-            cyc, res = fac
-            deg = sum(e * (len(_phi(n)[0]) - 1) for n, e in cyc)
-            if cyc and cyc[0][0] == 1 and cyc[0][1] & 1:
-                sign = -1
-            if res is not None:
-                deg += len(res) - 1
-                res = res[::-1]
-                if res[-1] < 0:
-                    sign, res = -sign, tuple(-c for c in res)
-                fac = (cyc, res)
-        num = {(deg - te, ae): sign * c for (te, ae), c in self.num.items()}
-        return self._of(num, self.d, fac, self.ring)
+        den = self.den
+        deg = max(den)
+        return type(self)({(deg - te, ae): c for (te, ae), c in self.num.items()},
+                          {deg - e: c for e, c in den.items()}, self.ring)
 
     def subs_a_one(self) -> "Scalar":
         """Set a = 1."""
@@ -650,48 +650,20 @@ class Scalar:
         return self._new(num, self.d, self.fac)
 
     def adams(self, k: int) -> "Scalar":
-        """The degree-k Adams image: t -> t^k, a -> a^k.
-
-        For a prime p, Phi_n(t^p) is Phi_np(t) when p divides n and
-        Phi_np(t) Phi_n(t) when not; R(t^k) keeps no cyclotomic factor.
-        """
+        """The degree-k Adams image: t -> t^k, a -> a^k, in num and den."""
         if k < 1:
             raise ValueError("adams degree must be positive")
         if k == 1:
             return self
-        num = {(te * k, ae * k): c for (te, ae), c in self.num.items()}
-        fac = self.fac
-        if fac is not None:
-            cyc, res = fac
-            exps, rest, p = dict(cyc), k, 2
-            while rest > 1:
-                while rest % p == 0:
-                    stretched: dict[int, int] = {}
-                    for n, e in exps.items():
-                        stretched[n * p] = stretched.get(n * p, 0) + e
-                        if n % p:
-                            stretched[n] = stretched.get(n, 0) + e
-                    exps, rest = stretched, rest // p
-                p += 1
-            if res is not None:
-                stretched_res = [0] * (k * len(res) - k + 1)
-                stretched_res[::k] = res
-                res = tuple(stretched_res)
-            fac = (tuple(sorted(exps.items())), res)
-        return self._of(num, self.d, fac, self.ring)
+        return type(self)({(te * k, ae * k): c for (te, ae), c in self.num.items()},
+                          {e * k: c for e, c in self.den.items()}, self.ring)
 
-    def eval_q(self, t_value: Fraction) -> "LaurentScalar":
-        """Evaluate at a rational value of t = q^(1/2); a stays formal."""
-        t_value = Fraction(t_value)
+    def eval_q(self, t_value) -> "LaurentScalar":
+        """Evaluate at an exact rational value of t = q^(1/2); a stays formal."""
+        t_value = _rational(t_value, "t")
         if t_value == 0:
             raise ZeroDivisionError("t must be a nonzero rational")
-        dv = Fraction(self.d)
-        if self.fac is not None:
-            cyc, res = self.fac
-            for n, e in cyc:
-                dv *= _horner(_phi(n)[0], t_value) ** e
-            if res is not None:
-                dv *= _horner(res, t_value)
+        dv = sum(c * t_value ** e for e, c in self.den.items())
         if dv == 0:
             raise ZeroDivisionError("denominator vanishes at this value of t")
         out: dict[tuple[int, int], Fraction] = {}
@@ -827,7 +799,7 @@ class NumericQ(SymbolicQ):
     _scalar = LaurentScalar
 
     def __init__(self, t):
-        t = Fraction(t)
+        t = _rational(t, "t")
         if t == 0:
             raise ValueError("t must be nonzero")
         self.t = t
@@ -836,7 +808,7 @@ class NumericQ(SymbolicQ):
     @classmethod
     def from_q(cls, q) -> "NumericQ":
         """Build the ring from a rational value of q, which must be a perfect square."""
-        q = Fraction(q)
+        q = _rational(q, "q")
         if q <= 0:
             raise ValueError("q must be a positive rational")
         rn, rd = isqrt(q.numerator), isqrt(q.denominator)

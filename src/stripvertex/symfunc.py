@@ -138,35 +138,28 @@ def principal_spec_h(k: int, nu: Partition, ring=SYMBOLIC):
 
 
 def _det(mat, ring):
-    """Determinant by fraction-field Gaussian elimination."""
-    n = len(mat)
-    if n == 0:
-        return ring.one
-    m = [row[:] for row in mat]
-    det = ring.one
-    sign = 1
-    for col in range(n):
-        piv = None
-        for row in range(col, n):
-            if not m[row][col].is_zero():
-                piv = row
-                break
-        if piv is None:
-            return ring.zero
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        pivot = m[col][col]
-        det = det * pivot
-        for row in range(col + 1, n):
-            if m[row][col].is_zero():
-                continue
-            f = m[row][col] / pivot
-            for c2 in range(col, n):
-                m[row][c2] = m[row][c2] - f * m[col][c2]
-    if sign < 0:
-        det = -det
-    return det
+    """Determinant by expansion in minors, with no division.
+
+    The rows are taken from the bottom up, and minors maps the bit mask of
+    the columns used so far to the minor on the rows taken and those
+    columns.  A new row is the top row of the larger minor, whose Laplace
+    expansion along it signs column j by the used columns left of j.  A
+    Jacobi-Trudi row i is zero left of column i - lam_i, so few masks arise.
+    """
+    minors = {0: ring.one}
+    for row in reversed(mat):
+        grown = {}
+        for used, minor in minors.items():
+            for j, x in enumerate(row):
+                bit = 1 << j
+                if used & bit or x.is_zero():
+                    continue
+                term = x * minor
+                term = -term if (used & (bit - 1)).bit_count() & 1 else term
+                key = used | bit
+                grown[key] = grown[key] + term if key in grown else term
+        minors = grown
+    return minors.get((1 << len(mat)) - 1, ring.zero)
 
 
 def principal_spec_skew(lam: Partition, mu: Partition, nu: Partition, ring=SYMBOLIC):
@@ -176,17 +169,12 @@ def principal_spec_skew(lam: Partition, mu: Partition, nu: Partition, ring=SYMBO
     key = ("ssk", lam, mu, nu)
     if key in memo:
         return memo[key]
-    n = len(lam)
-    if len(mu) > n:
-        out = ring.zero
-    elif n == 0:
-        out = ring.one
-    else:
-        mup = mu + (0,) * (n - len(mu))
-        mat = [[principal_spec_h(lam[i] - mup[j] - i + j, nu, ring)
-                for j in range(n)] for i in range(n)]
-        out = _det(mat, ring)
-    memo[key] = out
+    # any size past both lengths will do; the determinant is zero unless mu is in lam
+    n = max(len(lam), len(mu))
+    lamp, mup = (p + (0,) * (n - len(p)) for p in (lam, mu))
+    mat = [[principal_spec_h(lamp[i] - mup[j] - i + j, nu, ring)
+            for j in range(n)] for i in range(n)]
+    out = memo[key] = _det(mat, ring)
     return out
 
 

@@ -302,6 +302,28 @@ def test_scalar_constructor_takes_exact_input_only():
     assert Scalar({(0, 0): Fraction(1, 10)}, {0: 1}, R) == frac(1, 10)
 
 
+def test_values_of_t_and_q_must_be_exact():
+    for build in (NumericQ, NumericQ.from_q, R.quantum_int(1).eval_q):
+        for x in (0.1, 0.01, 2.25):
+            with pytest.raises(TypeError, match="not a float"):
+                build(x)
+    # strings and Fractions stay exact: the CLI and the pair benchmarks pass them
+    assert NumericQ("3/2") == NumericQ(Fraction(3, 2)) == NumericQ.from_q("9/4")
+    assert R.quantum_int(1).eval_q("3/2") == NumericQ(Fraction(3, 2)).quantum_int(1)
+
+
+def test_numeric_lane_refuses_the_substitutions():
+    # Scalar's substitutions build type(self)(...); a numeric value has no t to
+    # substitute, so its overrides refuse instead of returning a wrong value
+    ring = NumericQ(Fraction(3, 2))
+    x = ring.quantum_int(2) * ring.a_power(1) + ring.one
+    series = NovikovSeries({(("Q1", 1),): x, (): ring.one}, ring, 2)
+    for call in (lambda: x.adams(2), x.subs_q_inverse, lambda: x.eval_q(Fraction(2)),
+                 lambda: series.adams(2), lambda: series.eval_q(Fraction(2))):
+        with pytest.raises(NotImplementedError, match="symbolic q"):
+            call()
+
+
 def test_series_inverse():
     s = NovikovSeries.constant(R.one, 4) + Q("Q1", 4).scale(-R.quantum_int(1))
     inv = s.inverse()

@@ -20,12 +20,12 @@ and trial division show it), and a sum over two polynomial denominators,
 which goes over their lcm, coprime or sharing a factor, down to a sum that
 is zero.  The factored denominator d * prod Phi_n^e_n * R is read back
 against sympy.factor_list: binomial divisors t^m -+ 1, values that enter
-and leave the residual R (pivots of symfunc._det and the content
-polynomial), dens built by hand, and the substitutions t -> 1/t, t -> t^k
-and t -> 3/2.
+and leave the residual R (pivots that Gaussian elimination on
+Jacobi-Trudi matrices meets, and the content polynomial), dens built by
+hand, and the substitutions t -> 1/t, t -> t^k and t -> 3/2.
 The principal specializations of symfunc are checked against the same
 field: h_k at q^(nu + rho) from its generating product, and skew Schur
-values from sympy's determinant of the Jacobi-Trudi matrix.
+values from sympy's determinant of the Jacobi-Trudi matrix (Berkowitz).
 """
 import operator
 import random
@@ -695,7 +695,8 @@ def test_principal_spec_skew_matches_sympy_determinant():
             h[(j, nu)] = _h_nu(j, nu).as_expr()
         return h[(j, nu)]
 
-    for lam in enumerate_partitions(4):
+    # up to 6 rows, as many as the numeric workloads reach
+    for lam in enumerate_partitions(4) + [(1,) * 5, (2, 1, 1, 1, 1), (1,) * 6]:
         n = len(lam)
         # mu outside lam included: the determinant is then zero
         for mu in enumerate_partitions(2):
@@ -704,16 +705,17 @@ def test_principal_spec_skew_matches_sympy_determinant():
             mup = mu + (0,) * (n - len(mu))
             for nu in ((), (1,), (2, 1)):
                 mat = sympy.Matrix(n, n, lambda i, j: entry(int(lam[i] - mup[j] - i + j), nu))
-                # cofactor expansion, no division, unlike the package's
-                # elimination; the field reduces the sum once at the end
+                # Berkowitz's division-free method, not the package's expansion
+                # in minors; the field reduces the result once at the end
                 with dotprodsimp(False):
-                    want = K(mat.det(method="laplace")) if n else K(1)
+                    want = K(mat.det(method="berkowitz")) if n else K(1)
                 assert_same(principal_spec_skew(lam, mu, nu), want)
 
 
 # --- the factored den: d * prod Phi_n^e_n * R, against sympy.factor_list ---------
 
-# pivots of symfunc._det: 1 - t^2 + t^6 (verify-strip AB 4), 1 - t^4 + t^6 (verify-two-leg 4)
+# pivots of Gaussian elimination on the Jacobi-Trudi matrices of verify-strip AB 4
+# (1 - t^2 + t^6) and verify-two-leg 4 (1 - t^4 + t^6), non-cyclotomic dens
 PIVOTS = ([1, 0, -1, 0, 0, 0, 1], [1, 0, 0, 0, -1, 0, 1])
 RESIDUALS = PIVOTS + (RECURRENCE_CONTENT,)
 

@@ -13,10 +13,18 @@ import pytest
 
 from stripvertex import partitions as pt
 from stripvertex.qdiff import QSeries
-from stripvertex.scalars import SYMBOLIC, NonNilpotentArgument, NovikovSeries, NumericQ
+from stripvertex.scalars import (
+    SYMBOLIC,
+    LaurentScalar,
+    NonNilpotentArgument,
+    NovikovSeries,
+    NumericQ,
+    Scalar,
+)
 from stripvertex.symfunc import (
     SymFunc,
     SymFunc2,
+    _det,
     contract_middle,
     principal_spec_h,
     principal_spec_schur_hook,
@@ -360,6 +368,10 @@ def test_h_rho_closed_forms():
 def test_skew_spec_example():
     got = principal_spec_skew((2,), (), ())
     assert got == R.t_power(1) / (q_int(1) * q_int(2))
+    # mu not inside lam, also with more rows than lam: s_{lam/mu} = 0
+    for ring in (R, NumericQ(Fraction(3, 2))):
+        for lam, mu in (((1,), (2,)), ((1,), (1, 1)), ((2,), (1, 1, 1)), ((), (1,))):
+            assert principal_spec_skew(lam, mu, (1,), ring) == ring.zero
 
 
 def test_hook_content_cross_check():
@@ -458,6 +470,23 @@ def test_numeric_mode_specializations_match_eval():
         sym = principal_spec_skew(lam, (), nu)
         num = principal_spec_skew(lam, (), nu, nring)
         assert sym.eval_q(Fraction(3, 2)) == num
+
+
+@pytest.mark.parametrize("ring", [R, NumericQ(Fraction(3, 2))], ids=["symbolic", "numeric"])
+def test_jacobi_trudi_determinant_divides_nothing(ring, monkeypatch):
+    # the h values divide; the determinant of their matrix must not, so that
+    # no elimination pivot enters a den
+    lam, nu = (3, 2, 1), (2, 1)
+    mat = [[principal_spec_h(lam[i] - i + j, nu, ring) for j in range(3)] for i in range(3)]
+    want = principal_spec_skew(lam, (), nu, ring)
+
+    def refuse(self, other):
+        raise AssertionError("the determinant divided")
+
+    monkeypatch.setattr(Scalar, "__truediv__", refuse)
+    monkeypatch.setattr(LaurentScalar, "__truediv__", refuse)
+    assert _det(mat, ring) == want
+    assert _det([], ring) == ring.one
 
 
 # --- tensor square --------------------------------------------------------------------
